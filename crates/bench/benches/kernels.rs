@@ -3,38 +3,40 @@
 //! class") kernels across arithmetic intensity and weight dtype.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use kt_kernels::gemm::{gemm_tiled, gemv_vector};
+use kt_kernels::gemm::{gemm_rowwise, gemm_tiled};
 use kt_tensor::rng::seeded;
 use kt_tensor::{Matrix, PackedWeights, WeightDtype};
 
 fn bench_ari_sweep(c: &mut Criterion) {
     // One "expert" projection: n x k weights, m tokens (the ARI axis).
+    // The vector arm is the shipped multi-row entry point (all m rows in
+    // register tiles), so the crossover is the one dispatch would see.
     let n = 256;
     let k = 256;
     let mut rng = seeded(1);
     let wmat = Matrix::random_uniform(n, k, 1.0, &mut rng).unwrap();
-    let w = PackedWeights::pack(&wmat, WeightDtype::F32).unwrap();
-
-    let mut group = c.benchmark_group("ari_sweep_f32");
-    for m in [1usize, 2, 4, 8, 16, 64] {
-        let a = Matrix::random_uniform(m, k, 1.0, &mut rng).unwrap();
-        group.throughput(Throughput::Elements((2 * m * n * k) as u64));
-        group.bench_with_input(BenchmarkId::new("tiled", m), &m, |b, _| {
-            let mut out = Matrix::zeros(m, n).unwrap();
-            b.iter(|| gemm_tiled(&a, &w, &mut out, None).unwrap());
-        });
-        group.bench_with_input(BenchmarkId::new("vector", m), &m, |b, _| {
-            let mut out = Matrix::zeros(m, n).unwrap();
-            b.iter(|| {
-                for i in 0..m {
-                    let cols = out.cols();
-                    let row = &mut out.as_mut_slice()[i * cols..(i + 1) * cols];
-                    gemv_vector(a.row(i), &w, row, None).unwrap();
-                }
+    for (name, dt) in [
+        ("f32", WeightDtype::F32),
+        ("bf16", WeightDtype::Bf16),
+        ("int8", WeightDtype::Int8 { group: 64 }),
+        ("int4", WeightDtype::Int4 { group: 64 }),
+    ] {
+        let w = PackedWeights::pack(&wmat, dt).unwrap();
+        let mut group = c.benchmark_group(format!("ari_sweep_{name}"));
+        for m in [1usize, 2, 4, 8, 16, 64] {
+            let a = Matrix::random_uniform(m, k, 1.0, &mut rng).unwrap();
+            group.throughput(Throughput::Elements((2 * m * n * k) as u64));
+            group.bench_with_input(BenchmarkId::new("tiled", m), &m, |b, _| {
+                let mut out = Matrix::zeros(m, n).unwrap();
+                b.iter(|| gemm_tiled(&a, &w, &mut out, None).unwrap());
             });
-        });
+            group.bench_with_input(BenchmarkId::new("vector", m), &m, |b, _| {
+                let mut out = Matrix::zeros(m, n).unwrap();
+                b.iter(|| gemm_rowwise(&a, &w, &mut out, None).unwrap());
+            });
+        }
+        group.finish();
     }
-    group.finish();
 }
 
 fn bench_dtypes(c: &mut Criterion) {
@@ -62,54 +64,30 @@ fn bench_dtypes(c: &mut Criterion) {
 }
 
 fn bench_simd_levels(c: &mut Criterion) {
-    // Scalar vs AVX2 vs AVX-512 microkernels on one staged panel block
-    // (skipping levels the host lacks).
-    use kt_kernels::simd::{microkernel_scalar, simd_level, SimdLevel};
+    // Scalar vs AVX2 vs AVX-512 f32 register tile: 4 rows against one
+    // 16-wide panel of k = 256 through the tiled kernel, forcing each
+    // level the host has.
+    use kt_kernels::simd::{simd_level, with_forced_simd_level, SimdLevel};
     use kt_tensor::NR;
     let kb = 256;
     let mut rng = seeded(9);
-    let mut staged = vec![0.0f32; kb * NR];
-    kt_tensor::rng::fill_uniform(&mut rng, &mut staged, 1.0);
-    let mut rows = vec![vec![0.0f32; kb]; 4];
-    for r in &mut rows {
-        kt_tensor::rng::fill_uniform(&mut rng, r, 1.0);
-    }
-    let a: [&[f32]; 4] = std::array::from_fn(|i| rows[i].as_slice());
+    let wmat = Matrix::random_uniform(NR, kb, 1.0, &mut rng).unwrap();
+    let w = PackedWeights::pack(&wmat, WeightDtype::F32).unwrap();
+    let a = Matrix::random_uniform(4, kb, 1.0, &mut rng).unwrap();
     let mut group = c.benchmark_group("simd_microkernel_m4_k256");
     group.throughput(Throughput::Elements((2 * 4 * kb * NR) as u64));
-    group.bench_function("scalar", |b| {
-        b.iter(|| {
-            let mut acc = [[0.0f32; NR]; 4];
-            microkernel_scalar::<4>(a, &staged, kb, &mut acc);
-            std::hint::black_box(acc);
+    for (name, level) in [
+        ("scalar", SimdLevel::Scalar),
+        ("avx2_fma", SimdLevel::Avx2Fma),
+        ("avx512", SimdLevel::Avx512),
+    ] {
+        if simd_level() < level {
+            continue;
+        }
+        group.bench_function(name, |b| {
+            let mut out = Matrix::zeros(4, NR).unwrap();
+            b.iter(|| with_forced_simd_level(level, || gemm_tiled(&a, &w, &mut out, None).unwrap()));
         });
-    });
-    #[cfg(target_arch = "x86_64")]
-    {
-        if simd_level() >= SimdLevel::Avx2Fma {
-            group.bench_function("avx2_fma", |b| {
-                b.iter(|| {
-                    let mut acc = [[0.0f32; NR]; 4];
-                    // SAFETY: level checked above.
-                    unsafe {
-                        kt_kernels::simd::microkernel_avx2::<4>(a, &staged, kb, &mut acc)
-                    };
-                    std::hint::black_box(acc);
-                });
-            });
-        }
-        if simd_level() >= SimdLevel::Avx512 {
-            group.bench_function("avx512", |b| {
-                b.iter(|| {
-                    let mut acc = [[0.0f32; NR]; 4];
-                    // SAFETY: level checked above.
-                    unsafe {
-                        kt_kernels::simd::microkernel_avx512::<4>(a, &staged, kb, &mut acc)
-                    };
-                    std::hint::black_box(acc);
-                });
-            });
-        }
     }
     group.finish();
 }

@@ -4,32 +4,47 @@
 //! `kt-tensor` and implement the execution process of Figure 6:
 //!
 //! 1. The weight matrix is vertically partitioned into **panel tasks**
-//!    ([`kt_tensor::NR`] output neurons each) that are dynamically
-//!    scheduled across threads.
+//!    that are dynamically scheduled across threads: one
+//!    [`kt_tensor::NR`]-wide panel each in [`gemm_tiled`], one group of
+//!    [`PANEL_GROUP`] panels each in the vector kernel and the fused MoE
+//!    operator.
 //! 2. Each task walks the reduction dimension in **L2-sized blocks**
 //!    ([`KC`] K-steps), staging (dequantizing) the packed weights for
-//!    the block exactly once.
+//!    the block exactly once. F32 panels are already in staged form and
+//!    are read in place.
 //! 3. Within a block, a register-blocked **microkernel** processes
-//!    [`MR`] activation rows at a time against the 16-wide panel,
-//!    accumulating into local tiles before spilling to the output.
+//!    [`simd::TILE_ROWS`] activation rows at a time against the 16-wide
+//!    panel, accumulating into local tiles before spilling to the
+//!    output.
 //!
 //! The vector kernel reuses the identical packed bytes but decodes them
 //! inline per K-step with no staging or M-padding — the paper's
 //! "lightweight AVX-512 kernel fully compatible with the AMX memory
 //! layout", which wins whenever tokens-per-expert is small (Figure 7).
+//! Its register tile is up to [`simd::TILE_ROWS`] rows by
+//! [`simd::tile_panels`] panels: every (row, panel) output is one
+//! zero-initialized multiply-accumulate chain over ascending K (one FMA
+//! per K-step at the SIMD levels), the same chain a single
+//! row computes alone, so a row's bits never depend on the other rows of
+//! the batch or on the tile shape — only more chains run at once.
+
+use std::ops::Range;
 
 use kt_tensor::{Matrix, PackedWeights, WeightDtype, NR};
 
 use crate::error::KernelError;
 use crate::schedule::ThreadPool;
-
-/// Activation rows processed per microkernel invocation.
-pub const MR: usize = 4;
+use crate::simd;
 
 /// K-steps per cache block (staging granularity); `KC * NR * 4` bytes of
-/// staged weights (16 KiB) plus `MR * KC` activations fit comfortably in
-/// a per-core L2.
+/// staged weights (16 KiB) plus `TILE_ROWS * KC` activations fit
+/// comfortably in a per-core L2.
 pub const KC: usize = 256;
+
+/// Output panels per task of the vector kernel and of the fused MoE
+/// phases: the widest register tile of any SIMD level, so the task
+/// split is the same at every level.
+pub const PANEL_GROUP: usize = simd::MAX_TILE_PANELS;
 
 /// Shared mutable output pointer for disjoint-column panel writes.
 ///
@@ -42,20 +57,17 @@ pub(crate) struct OutPtr(pub(crate) *mut f32);
 unsafe impl Send for OutPtr {}
 unsafe impl Sync for OutPtr {}
 
-/// Stages (decodes to f32) K-steps `k0..k1` of panel `p` into `buf`,
-/// K-major: `buf[(kk - k0) * NR + j]`.
+/// K-steps `k0..k1` of panel `p` in staged form (K-major f32,
+/// `[(kk - k0) * NR + j]`): the f32 panel itself, read in place, or the
+/// quantized codes decoded into `buf`.
 ///
 /// Quantized dtypes route through the SIMD staging helpers in
 /// [`crate::simd`]; each staged value is the same `widen(code) * scale`
 /// the scalar decode produces, so staged buffers — and hence tiled GEMM
 /// outputs — are bitwise independent of the SIMD level.
-fn stage_panel(w: &PackedWeights, p: usize, k0: usize, k1: usize, buf: &mut [f32]) {
-    debug_assert!(buf.len() >= (k1 - k0) * NR);
+fn panel_block<'a>(w: &'a PackedWeights, p: usize, k0: usize, k1: usize, buf: &'a mut [f32]) -> &'a [f32] {
     match w.dtype() {
-        WeightDtype::F32 => {
-            let panel = w.panel_f32(p);
-            buf[..(k1 - k0) * NR].copy_from_slice(&panel[k0 * NR..k1 * NR]);
-        }
+        WeightDtype::F32 => return &w.panel_f32(p)[k0 * NR..k1 * NR],
         WeightDtype::Bf16 => simd::stage_bf16(w.panel_bf16(p), k0, k1, buf),
         WeightDtype::Int8 { group } => {
             simd::stage_int8(w.panel_bytes(p), w.panel_scales(p), group, k0, k1, buf);
@@ -64,39 +76,42 @@ fn stage_panel(w: &PackedWeights, p: usize, k0: usize, k1: usize, buf: &mut [f32
             simd::stage_int4(w.panel_bytes(p), w.panel_scales(p), group, k0, k1, buf);
         }
     }
+    &buf[..(k1 - k0) * NR]
 }
 
-use crate::simd::{self, microkernel};
+/// Number of [`PANEL_GROUP`]-panel tasks covering `w`'s output.
+pub(crate) fn n_panel_groups(w: &PackedWeights) -> usize {
+    w.n_panels().div_ceil(PANEL_GROUP)
+}
 
-/// Executes panel `p` with the given kernel class, writing output
-/// columns `p*NR .. p*NR+valid` of an `a.rows() x out_cols` output.
+/// The panels of group `g`.
+fn group_panels(w: &PackedWeights, g: usize) -> Range<usize> {
+    g * PANEL_GROUP..((g + 1) * PANEL_GROUP).min(w.n_panels())
+}
+
+/// Executes panel group `g` with the given kernel class, writing output
+/// columns `g*PANEL_GROUP*NR ..` (up to `w.n()`) of an
+/// `a.rows() x out_cols` output.
 ///
 /// This is the task granule of the fused MoE operator: one (expert
-/// matrix, panel) pair, dispatched dynamically across worker threads.
-#[allow(clippy::needless_range_loop)]
-pub(crate) fn run_panel(
+/// matrix, panel group) pair, dispatched dynamically across worker
+/// threads.
+pub(crate) fn run_panel_group(
     a: &Matrix,
     w: &PackedWeights,
     out: OutPtr,
     out_cols: usize,
-    p: usize,
+    g: usize,
     class: crate::dispatch::KernelClass,
 ) {
     match class {
-        crate::dispatch::KernelClass::Tiled => panel_task(a, w, out, out_cols, p),
-        crate::dispatch::KernelClass::Vector => {
-            let valid = NR.min(w.n() - p * NR);
-            for i in 0..a.rows() {
-                let acc = gemv_panel(a.row(i), w, p);
-                // SAFETY: Panel tasks own disjoint output columns; row
-                // `i < a.rows()` is in bounds of the output matrix.
-                unsafe {
-                    let dst = out.0.add(i * out_cols + p * NR);
-                    for j in 0..valid {
-                        *dst.add(j) = acc[j];
-                    }
-                }
+        crate::dispatch::KernelClass::Tiled => {
+            for p in group_panels(w, g) {
+                panel_task(a, w, out, out_cols, p);
             }
+        }
+        crate::dispatch::KernelClass::Vector => {
+            vector_task(a.as_slice(), a.rows(), w, out, out_cols, group_panels(w, g));
         }
     }
 }
@@ -107,8 +122,16 @@ pub(crate) fn run_panel(
 fn panel_task(a: &Matrix, w: &PackedWeights, out: OutPtr, out_cols: usize, p: usize) {
     let m = a.rows();
     let k = a.cols();
+    let level = simd::effective_simd_level();
     let valid = NR.min(w.n() - p * NR);
-    let mut staged = [0.0f32; KC * NR];
+    // Only quantized panels need a staging buffer (16 KiB to zero).
+    let mut buf;
+    let staged: &mut [f32] = if w.dtype() == WeightDtype::F32 {
+        &mut []
+    } else {
+        buf = [0.0f32; KC * NR];
+        &mut buf
+    };
 
     // Accumulators spill into the output; zero our columns first.
     for i in 0..m {
@@ -125,47 +148,14 @@ fn panel_task(a: &Matrix, w: &PackedWeights, out: OutPtr, out_cols: usize, p: us
     while k0 < k {
         let k1 = (k0 + KC).min(k);
         let kb = k1 - k0;
-        stage_panel(w, p, k0, k1, &mut staged);
+        let block = panel_block(w, p, k0, k1, staged);
 
         let mut i = 0;
         while i < m {
-            let mb = MR.min(m - i);
-            let mut acc = [[0.0f32; NR]; MR];
-            match mb {
-                4 => microkernel::<4>(
-                    [
-                        &a.row(i)[k0..k1],
-                        &a.row(i + 1)[k0..k1],
-                        &a.row(i + 2)[k0..k1],
-                        &a.row(i + 3)[k0..k1],
-                    ],
-                    &staged,
-                    kb,
-                    (&mut acc[..4]).try_into().unwrap(),
-                ),
-                3 => microkernel::<3>(
-                    [
-                        &a.row(i)[k0..k1],
-                        &a.row(i + 1)[k0..k1],
-                        &a.row(i + 2)[k0..k1],
-                    ],
-                    &staged,
-                    kb,
-                    (&mut acc[..3]).try_into().unwrap(),
-                ),
-                2 => microkernel::<2>(
-                    [&a.row(i)[k0..k1], &a.row(i + 1)[k0..k1]],
-                    &staged,
-                    kb,
-                    (&mut acc[..2]).try_into().unwrap(),
-                ),
-                _ => microkernel::<1>(
-                    [&a.row(i)[k0..k1]],
-                    &staged,
-                    kb,
-                    (&mut acc[..1]).try_into().unwrap(),
-                ),
-            }
+            let mb = simd::TILE_ROWS.min(m - i);
+            let rows: [&[f32]; simd::TILE_ROWS] = std::array::from_fn(|r| &a.row(i + r.min(mb - 1))[k0..k1]);
+            let mut acc = [[0.0f32; NR]; simd::TILE_ROWS];
+            simd::f32_tile(level, &rows[..mb], &[block], kb, &mut acc);
             for (r, tile) in acc.iter().enumerate().take(mb) {
                 // SAFETY: As above — exclusive column ownership; row
                 // index `i + r < m` by the loop bounds.
@@ -179,6 +169,51 @@ fn panel_task(a: &Matrix, w: &PackedWeights, out: OutPtr, out_cols: usize, p: us
             i += mb;
         }
         k0 = k1;
+    }
+}
+
+/// Executes one vector task: the `m` rows of `x` (row-major, `w.k()`
+/// values each) against `panels` of `w`, in register tiles of up to
+/// [`simd::TILE_ROWS`] rows by [`simd::tile_panels`] panels, writing
+/// output columns `panels.start*NR ..` (up to `w.n()`).
+fn vector_task(x: &[f32], m: usize, w: &PackedWeights, out: OutPtr, out_cols: usize, panels: Range<usize>) {
+    let level = simd::effective_simd_level();
+    let k = w.k();
+    let row = |i: usize| &x[i * k..(i + 1) * k];
+    let mut acc = [[0.0f32; NR]; simd::TILE_ROWS * simd::MAX_TILE_PANELS];
+    let mut p0 = panels.start;
+    while p0 < panels.end {
+        let np = simd::tile_panels(level).min(panels.end - p0);
+        let mut i0 = 0;
+        while i0 < m {
+            let mr = simd::TILE_ROWS.min(m - i0);
+            let rows: [&[f32]; simd::TILE_ROWS] = std::array::from_fn(|r| row(i0 + r.min(mr - 1)));
+            simd::vector_tile(level, &rows[..mr], w, p0, np, &mut acc);
+            for r in 0..mr {
+                for p in 0..np {
+                    let col = (p0 + p) * NR;
+                    let valid = NR.min(w.n() - col);
+                    // SAFETY: `out` points to an `m x out_cols` matrix
+                    // with `out_cols >= w.n()` that outlives this call;
+                    // this task exclusively owns the columns of
+                    // `panels` (see `OutPtr`), and row `i0 + r < m`.
+                    unsafe {
+                        let dst = out.0.add((i0 + r) * out_cols + col);
+                        std::ptr::copy_nonoverlapping(acc[r * np + p].as_ptr(), dst, valid);
+                    }
+                }
+            }
+            i0 += mr;
+        }
+        p0 += np;
+    }
+}
+
+/// Runs `task` over every panel group of `w`, on `pool` when given.
+fn for_each_group(w: &PackedWeights, pool: Option<&ThreadPool>, task: impl Fn(usize) + Sync) {
+    match pool {
+        Some(pool) => pool.run_dynamic(n_panel_groups(w), task),
+        None => (0..n_panel_groups(w)).for_each(task),
     }
 }
 
@@ -211,13 +246,13 @@ pub fn gemm_tiled(
 }
 
 /// Vector kernel: `y = w * x` for a single activation row, decoding the
-/// packed weights inline with no staging or M-padding.
+/// packed weights inline with no staging or M-padding (the one-row case
+/// of [`gemm_rowwise`]).
 ///
 /// # Errors
 ///
 /// Returns [`KernelError::Shape`] when `x.len() != w.k()` or
 /// `y.len() != w.n()`.
-#[allow(clippy::needless_range_loop)] // raw-pointer writes, see SAFETY
 pub fn gemv_vector(
     x: &[f32],
     w: &PackedWeights,
@@ -239,61 +274,8 @@ pub fn gemv_vector(
         )));
     }
     let yp = OutPtr(y.as_mut_ptr());
-    let n = w.n();
-    let task = |p: usize| {
-        // Force-capture the whole OutPtr (which is Sync) rather than its
-        // raw `*mut f32` field — edition-2021 closures capture disjoint
-        // fields otherwise, and a bare `*mut` is not Sync.
-        #[allow(clippy::redundant_locals)]
-        let yp = yp;
-        let acc = gemv_panel(x, w, p);
-        let valid = NR.min(n - p * NR);
-        // SAFETY: Panel tasks own disjoint `y` ranges (`p*NR..`).
-        unsafe {
-            let dst = yp.0.add(p * NR);
-            for j in 0..valid {
-                *dst.add(j) = acc[j];
-            }
-        }
-    };
-    match pool {
-        Some(pool) => pool.run_dynamic(w.n_panels(), task),
-        None => {
-            for p in 0..w.n_panels() {
-                task(p);
-            }
-        }
-    }
+    for_each_group(w, pool, |g| vector_task(x, 1, w, yp, w.n(), group_panels(w, g)));
     Ok(())
-}
-
-/// Computes the 16 partial outputs of panel `p` for activation `x`,
-/// fusing per-dtype weight decode into the SIMD accumulation.
-///
-/// Bf16/Int8/Int4 use the fused-dequant kernels from [`crate::simd`]
-/// (codes widened in-register, group scale folded into the FMA), which
-/// are bitwise identical across SIMD levels; F32 reuses the staged-form
-/// microkernel directly.
-fn gemv_panel(x: &[f32], w: &PackedWeights, p: usize) -> [f32; NR] {
-    let mut acc = [0.0f32; NR];
-    match w.dtype() {
-        WeightDtype::F32 => {
-            // The f32 panel is already in staged (K-major) form, so the
-            // SIMD microkernel applies directly with M = 1.
-            let panel = w.panel_f32(p);
-            let mut tile = [[0.0f32; NR]; 1];
-            microkernel::<1>([x], panel, x.len(), &mut tile);
-            acc = tile[0];
-        }
-        WeightDtype::Bf16 => simd::gemv_bf16(x, w.panel_bf16(p), &mut acc),
-        WeightDtype::Int8 { group } => {
-            simd::gemv_int8(x, w.panel_bytes(p), w.panel_scales(p), group, &mut acc);
-        }
-        WeightDtype::Int4 { group } => {
-            simd::gemv_int4(x, w.panel_bytes(p), w.panel_scales(p), group, &mut acc);
-        }
-    }
-    acc
 }
 
 /// Hybrid dispatch: uses the vector kernel when `a.rows()` is at or
@@ -323,16 +305,8 @@ pub fn gemm_auto(
     out: &mut Matrix,
     pool: Option<&ThreadPool>,
 ) -> Result<(), KernelError> {
-    check_shapes(a, w, out)?;
     if a.rows() <= crate::dispatch::ARI_CROSSOVER {
-        for i in 0..a.rows() {
-            // Borrow-splitting: rows of `out` are disjoint.
-            let out_cols = out.cols();
-            let row =
-                &mut out.as_mut_slice()[i * out_cols..(i + 1) * out_cols];
-            gemv_vector(a.row(i), w, row, pool)?;
-        }
-        Ok(())
+        gemm_rowwise(a, w, out, pool)
     } else {
         gemm_tiled(a, w, out, pool)
     }
@@ -341,7 +315,8 @@ pub fn gemm_auto(
 /// Row-stable GEMM: every output row is computed by the vector kernel
 /// regardless of how many rows the batch holds, so row `i` of `out` is
 /// a function of row `i` of `a` **only** — bit-for-bit independent of
-/// the batch composition, for every dtype and every `k`.
+/// the batch composition, for every dtype and every `k`. Each task runs
+/// all rows against one panel group.
 ///
 /// `gemm_auto` cannot promise this in general: its gemv/tiled dispatch
 /// flips at the arithmetic-intensity crossover, and the two kernel
@@ -363,11 +338,10 @@ pub fn gemm_rowwise(
 ) -> Result<(), KernelError> {
     check_shapes(a, w, out)?;
     let out_cols = out.cols();
-    for i in 0..a.rows() {
-        // Borrow-splitting: rows of `out` are disjoint.
-        let row = &mut out.as_mut_slice()[i * out_cols..(i + 1) * out_cols];
-        gemv_vector(a.row(i), w, row, pool)?;
-    }
+    let outp = OutPtr(out.as_mut_slice().as_mut_ptr());
+    for_each_group(w, pool, |g| {
+        vector_task(a.as_slice(), a.rows(), w, outp, out_cols, group_panels(w, g));
+    });
     Ok(())
 }
 
@@ -512,6 +486,32 @@ mod tests {
                 let mut y = vec![0.0f32; n];
                 gemv_vector(a.row(i), &w, &mut y, None).unwrap();
                 assert_eq!(batch.row(i), &y[..], "{dt:?} row {i} vs gemv");
+            }
+        }
+    }
+
+    #[test]
+    fn rowwise_row_is_bitwise_independent_of_the_rest_of_the_batch() {
+        // A probe row lands at every position of batches of 1..=9 rows
+        // (crossing the 4-row register tile) among random neighbours; its
+        // output bits must equal the probe computed alone.
+        let mut rng = seeded(13);
+        let (n, k) = (5 * NR + 7, 64);
+        let wmat = Matrix::random_uniform(n, k, 1.0, &mut rng).unwrap();
+        let probe = Matrix::random_uniform(1, k, 1.0, &mut rng).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (dt, _) in dtypes() {
+            let w = PackedWeights::pack(&wmat, dt).unwrap();
+            let mut alone = Matrix::zeros(1, n).unwrap();
+            gemm_rowwise(&probe, &w, &mut alone, None).unwrap();
+            for m in 1..=9 {
+                for i in 0..m {
+                    let mut a = Matrix::random_uniform(m, k, 1.0, &mut rng).unwrap();
+                    a.row_mut(i).copy_from_slice(probe.row(0));
+                    let mut out = Matrix::zeros(m, n).unwrap();
+                    gemm_rowwise(&a, &w, &mut out, None).unwrap();
+                    assert_eq!(bits(out.row(i)), bits(alone.row(0)), "{dt:?} m={m} row {i}");
+                }
             }
         }
     }

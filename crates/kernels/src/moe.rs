@@ -13,11 +13,15 @@
 //!   dependency).
 //! * **Batch 2** — Down projections of all experts.
 //!
-//! Task granularity is one (expert matrix, output panel) pair, matching
-//! Figure 6 step ① ("expert weight matrices are vertically partitioned
-//! into tasks dynamically scheduled across threads"). Tasks of the same
-//! expert are adjacent in the queue, so dynamic scheduling naturally
-//! co-schedules them — the paper's cache-reuse heuristic.
+//! Task granularity is one (expert matrix, panel group) pair — a group
+//! is [`crate::gemm::PANEL_GROUP`] 16-wide output panels, the widest
+//! register tile of the vector kernel — matching Figure 6 step ①
+//! ("expert weight matrices are vertically partitioned into tasks
+//! dynamically scheduled across threads"). At decode a vector task runs
+//! all of the expert's few tokens against the whole group in one
+//! register tile, so its FMA chains overlap instead of queueing. Tasks
+//! of the same expert are adjacent in the queue, so dynamic scheduling
+//! naturally co-schedules them — the paper's cache-reuse heuristic.
 
 use kt_tensor::{ArenaStats, Matrix, PackedWeights, ScratchArena, WeightDtype};
 use rand::rngs::StdRng;
@@ -25,7 +29,7 @@ use rand::rngs::StdRng;
 use crate::act::swiglu_combine;
 use crate::dispatch::Backend;
 use crate::error::KernelError;
-use crate::gemm::{run_panel, OutPtr};
+use crate::gemm::{n_panel_groups, run_panel_group, OutPtr};
 use crate::schedule::{SchedulePolicy, ThreadPool};
 
 /// The three projection matrices of one expert, packed for the hybrid
@@ -713,10 +717,11 @@ impl FusedMoE {
         descs: &mut Vec<PanelDesc>,
     ) {
         // Task batch 1: fused Gate+Up for all experts. Task id encodes
-        // (bucket, projection, panel): gate panels first, then up panels
-        // per bucket, keeping same-expert tasks adjacent in the queue.
-        let inter_panels = self.experts[0].gate.n_panels();
-        let tasks_per_bucket = 2 * inter_panels;
+        // (bucket, projection, panel group): gate groups first, then up
+        // groups per bucket, keeping same-expert tasks adjacent in the
+        // queue.
+        let inter_groups = n_panel_groups(&self.experts[0].gate);
+        let tasks_per_bucket = 2 * inter_groups;
         let n_tasks1 = buckets.len() * tasks_per_bucket;
         {
             descs.clear();
@@ -735,22 +740,22 @@ impl FusedMoE {
                 // live buckets and consumed before the buckets move.
                 let input = unsafe { &*b.input };
                 let slot = task % tasks_per_bucket;
-                let (proj, panel) = if slot < inter_panels {
+                let (proj, group) = if slot < inter_groups {
                     (&self.experts[b.expert].gate, slot)
                 } else {
-                    (&self.experts[b.expert].up, slot - inter_panels)
+                    (&self.experts[b.expert].up, slot - inter_groups)
                 };
                 let class = self.backend.kernel_for(b.t_e);
-                // Gate writes columns [panel*NR ..], Up writes columns
-                // [inter + panel*NR ..] of the fused `gu` buffer.
-                let col_off = if slot < inter_panels { 0 } else { self.inter };
+                // Gate writes columns [group*PANEL_GROUP*NR ..], Up the
+                // same columns past `inter` of the fused `gu` buffer.
+                let col_off = if slot < inter_groups { 0 } else { self.inter };
                 let shifted = OutPtr(
                     // SAFETY: `gu` is `t_e x 2*inter`; offsetting by
                     // `col_off <= inter` keeps all panel writes
-                    // (`col_off + panel*NR + NR <= 2*inter`) in bounds.
+                    // (`col_off + inter <= 2*inter`) in bounds.
                     unsafe { b.out.0.add(col_off) },
                 );
-                run_panel(input, proj, shifted, 2 * self.inter, panel, class);
+                run_panel_group(input, proj, shifted, 2 * self.inter, group, class);
             };
             match pool {
                 Some(p) => p.run(n_tasks1, policy, run),
@@ -782,8 +787,8 @@ impl FusedMoE {
         }
 
         // Task batch 2: Down projections of all experts.
-        let hidden_panels = self.experts[0].down.n_panels();
-        let n_tasks2 = buckets.len() * hidden_panels;
+        let hidden_groups = n_panel_groups(&self.experts[0].down);
+        let n_tasks2 = buckets.len() * hidden_groups;
         {
             descs.clear();
             for b in buckets.iter_mut() {
@@ -796,12 +801,12 @@ impl FusedMoE {
             }
             let descs = &*descs;
             let run = |task: usize| {
-                let b = &descs[task / hidden_panels];
+                let b = &descs[task / hidden_groups];
                 // SAFETY: as for phase 1.
                 let input = unsafe { &*b.input };
-                let panel = task % hidden_panels;
+                let group = task % hidden_groups;
                 let class = self.backend.kernel_for(b.t_e);
-                run_panel(input, &self.experts[b.expert].down, b.out, self.hidden, panel, class);
+                run_panel_group(input, &self.experts[b.expert].down, b.out, self.hidden, group, class);
             };
             match pool {
                 Some(p) => p.run(n_tasks2, policy, run),
@@ -975,7 +980,8 @@ struct PanelDesc {
 }
 // SAFETY: descriptors are filled from live buckets at the start of each
 // phase and consumed within it; `OutPtr` targets are written at disjoint
-// panels per task (see `run_panel`), shared reads of `input` are safe.
+// panel groups per task (see `run_panel_group`), shared reads of `input`
+// are safe.
 unsafe impl Send for PanelDesc {}
 unsafe impl Sync for PanelDesc {}
 

@@ -12,23 +12,33 @@
 //! kernel as both the fallback and the golden reference; results differ
 //! from scalar only by FMA rounding.
 //!
-//! # Fused-dequant GEMV kernels
+//! # Register-blocked vector kernel (decode GEMV)
 //!
-//! The quantized serving hot path decodes packed Int8/Int4 codes (and
-//! BF16 halves) **in-register**: codes are widened with exact integer
-//! conversions, the group scale multiply is a single IEEE `mul`, and
-//! the activation multiply-accumulate is one fused multiply-add. The
-//! scalar golden references perform the *same* per-lane operation
-//! sequence with `f32::mul_add` (correctly rounded, like the hardware
-//! FMA), so the SIMD kernels are **bitwise identical** to scalar at
-//! every level — the property the chunked-prefill and forced-level
-//! proptests pin.
+//! The vector kernel computes a tile of up to [`TILE_ROWS`] activation
+//! rows by [`tile_panels`] packed panels per call, one accumulator per
+//! (row, panel): [`TILE_PANELS_AVX512`] panels on AVX-512, where a 4x4
+//! tile's 16 `zmm` accumulators fit the 32 registers with room for the
+//! weights and broadcasts, and [`TILE_PANELS_AVX2`] on AVX2, whose
+//! chains take two of its 16 `ymm` registers each. Every accumulator
+//! runs the one-row, one-panel chain unchanged, so blocking only puts
+//! independent FMA chains in flight together.
+//!
+//! For every dtype but f32 the quantized serving hot path decodes
+//! packed Int8/Int4 codes (and BF16 halves) **in-register**, once per
+//! (K-step, panel) for all rows of the tile: codes are widened with
+//! exact integer conversions, the group scale multiply is a single
+//! IEEE `mul`, and the activation multiply-accumulate is one fused
+//! multiply-add. The scalar golden references perform the *same*
+//! per-lane operation sequence with `f32::mul_add` (correctly rounded,
+//! like the hardware FMA), so the SIMD kernels are **bitwise
+//! identical** to scalar at every level — the property the
+//! chunked-prefill and forced-level proptests pin.
 //!
 //! Tests can cap dispatch on the current thread with
 //! [`with_forced_simd_level`]; the disabled-path cost is one relaxed
 //! atomic load.
 
-use kt_tensor::{Bf16, NR};
+use kt_tensor::{Bf16, PackedWeights, WeightDtype, NR};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -102,8 +112,9 @@ pub fn effective_simd_level() -> SimdLevel {
     FORCED_LEVEL.with(|c| c.get()).map_or(detected, |l| l.min(detected))
 }
 
-/// Portable scalar microkernel (the golden reference): accumulates `M`
-/// activation rows against one staged K-major panel block.
+/// Portable scalar f32 microkernel (the golden reference, and the f32
+/// tile at the scalar level): accumulates `M` activation rows against
+/// one staged K-major panel block.
 #[allow(clippy::needless_range_loop)] // fixed-trip loops vectorize best
 #[inline]
 pub fn microkernel_scalar<const M: usize>(
@@ -124,115 +135,11 @@ pub fn microkernel_scalar<const M: usize>(
     }
 }
 
-/// AVX-512 microkernel: one `zmm` register per accumulator row.
-///
-/// # Safety
-///
-/// Callers must ensure AVX-512F is available (checked via
-/// [`simd_level`]). Slice bounds are enforced by the debug assertions
-/// and the loop structure: `staged` holds at least `kb * NR` values and
-/// every `a[i]` at least `kb`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-pub unsafe fn microkernel_avx512<const M: usize>(
-    a: [&[f32]; M],
-    staged: &[f32],
-    kb: usize,
-    acc: &mut [[f32; NR]; M],
-) {
-    use std::arch::x86_64::*;
-    debug_assert!(staged.len() >= kb * NR);
-    for row in a.iter().take(M) {
-        debug_assert!(row.len() >= kb);
-    }
-    // SAFETY: All pointer arithmetic stays within the slices per the
-    // debug assertions above; NR == 16 matches one __m512 of f32.
-    unsafe {
-        let mut vacc = [_mm512_setzero_ps(); M];
-        for (i, t) in acc.iter().enumerate().take(M) {
-            vacc[i] = _mm512_loadu_ps(t.as_ptr());
-        }
-        let sp = staged.as_ptr();
-        for kk in 0..kb {
-            let w = _mm512_loadu_ps(sp.add(kk * NR));
-            for i in 0..M {
-                let ai = _mm512_set1_ps(*a[i].as_ptr().add(kk));
-                vacc[i] = _mm512_fmadd_ps(ai, w, vacc[i]);
-            }
-        }
-        for (i, t) in acc.iter_mut().enumerate().take(M) {
-            _mm512_storeu_ps(t.as_mut_ptr(), vacc[i]);
-        }
-    }
-}
-
-/// AVX2+FMA microkernel: two `ymm` registers per accumulator row.
-///
-/// # Safety
-///
-/// Callers must ensure AVX2 and FMA are available (checked via
-/// [`simd_level`]); bounds as for [`microkernel_avx512`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn microkernel_avx2<const M: usize>(
-    a: [&[f32]; M],
-    staged: &[f32],
-    kb: usize,
-    acc: &mut [[f32; NR]; M],
-) {
-    use std::arch::x86_64::*;
-    debug_assert!(staged.len() >= kb * NR);
-    // SAFETY: As for `microkernel_avx512`; NR == 16 == 2 x __m256.
-    unsafe {
-        let mut lo = [_mm256_setzero_ps(); M];
-        let mut hi = [_mm256_setzero_ps(); M];
-        for i in 0..M {
-            lo[i] = _mm256_loadu_ps(acc[i].as_ptr());
-            hi[i] = _mm256_loadu_ps(acc[i].as_ptr().add(8));
-        }
-        let sp = staged.as_ptr();
-        for kk in 0..kb {
-            let wlo = _mm256_loadu_ps(sp.add(kk * NR));
-            let whi = _mm256_loadu_ps(sp.add(kk * NR + 8));
-            for i in 0..M {
-                let ai = _mm256_set1_ps(*a[i].as_ptr().add(kk));
-                lo[i] = _mm256_fmadd_ps(ai, wlo, lo[i]);
-                hi[i] = _mm256_fmadd_ps(ai, whi, hi[i]);
-            }
-        }
-        for i in 0..M {
-            _mm256_storeu_ps(acc[i].as_mut_ptr(), lo[i]);
-            _mm256_storeu_ps(acc[i].as_mut_ptr().add(8), hi[i]);
-        }
-    }
-}
-
-/// Dispatching microkernel: picks the best detected implementation.
-#[inline]
-pub fn microkernel<const M: usize>(
-    a: [&[f32]; M],
-    staged: &[f32],
-    kb: usize,
-    acc: &mut [[f32; NR]; M],
-) {
-    match effective_simd_level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 =>
-        // SAFETY: `effective_simd_level` never exceeds the detected
-        // level, which verified AVX-512F support at runtime.
-        unsafe { microkernel_avx512::<M>(a, staged, kb, acc) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2Fma =>
-        // SAFETY: As above for AVX2+FMA.
-        unsafe { microkernel_avx2::<M>(a, staged, kb, acc) },
-        _ => microkernel_scalar::<M>(a, staged, kb, acc),
-    }
-}
-
 // ---------------------------------------------------------------------
-// Fused-dequant GEMV kernels (quantized serving hot path).
+// Fused-dequant GEMV golden references (quantized serving hot path).
 //
-// Contract shared by every implementation below: for each K-step `kk`
+// Contract shared by these references and every vector tile below: for
+// each K-step `kk`
 // and each lane `j`, exactly
 //
 //     w      = widen(code[kk][j])            (exact int/bf16 -> f32)
@@ -291,314 +198,622 @@ pub fn gemv_int4_scalar(x: &[f32], bytes: &[u8], scales: &[f32], group: usize, a
     }
 }
 
-/// AVX-512 fused-dequant BF16 GEMV: 16 halves are zero-extended to
-/// `i32`, shifted into f32 position (exact) and FMA-accumulated.
+// ---------------------------------------------------------------------
+// Register-blocked vector tile (the decode GEMV kernel).
+//
+// A tile is M activation rows (M <= TILE_ROWS) by P packed panels. Each
+// of its M*P accumulators runs exactly the one-row, one-panel chain of
+// the contract above: a zeroed accumulator, then one FMA per K-step in
+// ascending `kk` — so every (row, panel) output carries the same bits
+// as that chain computed alone, at every level. Blocking changes only
+// how many independent chains are in flight: the M*P FMAs of one K-step
+// do not depend on each other, so they fill the FMA pipes instead of
+// each waiting out the previous FMA's latency. Quantized panels decode
+// `widen(code) * scale` once per (kk, panel) and reuse that value for
+// all M rows. F32 at the scalar level keeps the tiled microkernel's
+// unfused `acc += x * w` (`microkernel_scalar`), as it always has.
+// ---------------------------------------------------------------------
+
+/// Most activation rows one vector tile carries.
+pub const TILE_ROWS: usize = 4;
+
+/// Panels per vector tile on AVX-512: a full 4x4 tile keeps 16 `zmm`
+/// accumulators, plus the panels' weight rows and scales and the rows'
+/// broadcasts, inside the 32 registers.
+pub const TILE_PANELS_AVX512: usize = 4;
+
+/// Panels per vector tile on AVX2: each chain takes two `ymm`
+/// registers, so two panels of up to two rows already fill 8 of the 16
+/// with accumulators.
+pub const TILE_PANELS_AVX2: usize = 2;
+
+/// The widest tile of any level: the panel group one vector task
+/// covers, so the task split does not depend on the SIMD level.
+pub const MAX_TILE_PANELS: usize = TILE_PANELS_AVX512;
+
+/// Panels per vector tile at `level` (the scalar level has no register
+/// budget and takes the whole group).
+pub const fn tile_panels(level: SimdLevel) -> usize {
+    match level {
+        SimdLevel::Avx512 => TILE_PANELS_AVX512,
+        SimdLevel::Avx2Fma => TILE_PANELS_AVX2,
+        SimdLevel::Scalar => MAX_TILE_PANELS,
+    }
+}
+
+/// Dispatches a runtime `(m, np)` tile shape to the `<M, P>`
+/// monomorphization of a tile body, for `P` in the listed widths.
+macro_rules! dispatch_tile {
+    ($body:ident, $m:expr, $np:expr, [$($p:literal),*], $args:tt) => {
+        match $m {
+            1 => dispatch_tile!(@p $body, 1, $np, [$($p),*], $args),
+            2 => dispatch_tile!(@p $body, 2, $np, [$($p),*], $args),
+            3 => dispatch_tile!(@p $body, 3, $np, [$($p),*], $args),
+            _ => dispatch_tile!(@p $body, 4, $np, [$($p),*], $args),
+        }
+    };
+    (@p $body:ident, $m:literal, $np:expr, [$($p:literal),*], $args:tt) => {
+        match $np {
+            $($p => $body::<$m, $p> $args,)*
+            _ => unreachable!("tile width checked by check_tile"),
+        }
+    };
+}
+
+/// Checks a tile shape against `level`'s register budget and `acc`.
+fn check_tile(level: SimdLevel, m: usize, np: usize, acc: &[[f32; NR]]) {
+    assert!(level <= simd_level(), "{level:?} not available on this host");
+    assert!((1..=TILE_ROWS).contains(&m), "tile of {m} rows");
+    assert!((1..=tile_panels(level)).contains(&np), "tile of {np} panels at {level:?}");
+    assert!(acc.len() >= m * np, "accumulator holds {} tiles", acc.len());
+}
+
+/// Computes one f32 tile: rows `x` (1 to [`TILE_ROWS`] of them, each at
+/// least `k` long) against K-major `panels` (each at least `k * NR`
+/// long, at most `tile_panels(level)` of them). The chain of row `i`,
+/// panel `p` lands in `acc[i * panels.len() + p]`. Both kernel classes
+/// run f32 through it: the vector kernel on whole packed panels, the
+/// tiled kernel on one panel's K-block.
+///
+/// # Panics
+///
+/// Panics when `level` exceeds the detected level, or the tile shape, a
+/// row or panel length or `acc` is out of range.
+pub(crate) fn f32_tile(level: SimdLevel, x: &[&[f32]], panels: &[&[f32]], k: usize, acc: &mut [[f32; NR]]) {
+    let (m, np) = (x.len(), panels.len());
+    check_tile(level, m, np, acc);
+    assert!(x.iter().all(|row| row.len() >= k) && panels.iter().all(|p| p.len() >= k * NR));
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX-512F is available (checked above); the asserts
+        // bound every row and panel read, and `acc` holds `m * np` tiles.
+        SimdLevel::Avx512 => unsafe {
+            dispatch_tile!(tile_f32_avx512, m, np, [1, 2, 3, 4], (x, panels, k, acc))
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: As above for AVX2+FMA.
+        SimdLevel::Avx2Fma => unsafe { dispatch_tile!(tile_f32_avx2, m, np, [1, 2], (x, panels, k, acc)) },
+        _ => {
+            for (i, row) in x.iter().enumerate() {
+                for (p, panel) in panels.iter().enumerate() {
+                    let t = &mut acc[i * np + p];
+                    *t = [0.0; NR];
+                    microkernel_scalar::<1>([&row[..k]], panel, k, std::array::from_mut(t));
+                }
+            }
+        }
+    }
+}
+
+/// Computes one vector tile: rows `x` (1 to [`TILE_ROWS`] of them, each
+/// at least `w.k()` long) against panels `p0 .. p0 + np` of `w`, where
+/// `np <= tile_panels(level)`. The chain of row `i`, panel `p0 + p`
+/// lands in `acc[i * np + p]`.
+///
+/// # Panics
+///
+/// Panics when `level` exceeds the detected level, or the tile shape, a
+/// row length or `acc` is out of range.
+pub(crate) fn vector_tile(
+    level: SimdLevel,
+    x: &[&[f32]],
+    w: &PackedWeights,
+    p0: usize,
+    np: usize,
+    acc: &mut [[f32; NR]],
+) {
+    let m = x.len();
+    check_tile(level, m, np, acc);
+    assert!(p0 + np <= w.n_panels(), "panels {p0}..{} of {}", p0 + np, w.n_panels());
+    if w.dtype() == WeightDtype::F32 {
+        let panels: [&[f32]; MAX_TILE_PANELS] = std::array::from_fn(|p| w.panel_f32(p0 + p.min(np - 1)));
+        return f32_tile(level, x, &panels[..np], w.k(), acc);
+    }
+    assert!(x.iter().all(|row| row.len() >= w.k()));
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX-512F is available (level check above); the asserts
+        // bound every row read, `PackedWeights` bounds every panel and
+        // scale read (see each body), and `acc` holds `m * np` tiles.
+        SimdLevel::Avx512 => unsafe {
+            match w.dtype() {
+                WeightDtype::Bf16 => dispatch_tile!(tile_bf16_avx512, m, np, [1, 2, 3, 4], (x, w, p0, acc)),
+                WeightDtype::Int8 { .. } => dispatch_tile!(tile_int8_avx512, m, np, [1, 2, 3, 4], (x, w, p0, acc)),
+                WeightDtype::Int4 { .. } => dispatch_tile!(tile_int4_avx512, m, np, [1, 2, 3, 4], (x, w, p0, acc)),
+                WeightDtype::F32 => unreachable!("f32 runs through f32_tile"),
+            }
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: As above for AVX2+FMA.
+        SimdLevel::Avx2Fma => unsafe {
+            match w.dtype() {
+                WeightDtype::Bf16 => dispatch_tile!(tile_bf16_avx2, m, np, [1, 2], (x, w, p0, acc)),
+                WeightDtype::Int8 { .. } => dispatch_tile!(tile_int8_avx2, m, np, [1, 2], (x, w, p0, acc)),
+                WeightDtype::Int4 { .. } => dispatch_tile!(tile_int4_avx2, m, np, [1, 2], (x, w, p0, acc)),
+                WeightDtype::F32 => unreachable!("f32 runs through f32_tile"),
+            }
+        },
+        _ => tile_scalar(x, w, p0, np, acc),
+    }
+}
+
+/// Scalar quantized tile: every (row, panel) chain through its golden
+/// reference.
+fn tile_scalar(x: &[&[f32]], w: &PackedWeights, p0: usize, np: usize, acc: &mut [[f32; NR]]) {
+    let k = w.k();
+    for (i, row) in x.iter().enumerate() {
+        let xi = &row[..k];
+        for p in 0..np {
+            let t = &mut acc[i * np + p];
+            *t = [0.0; NR];
+            let panel = p0 + p;
+            match w.dtype() {
+                WeightDtype::F32 => unreachable!("f32 runs through f32_tile"),
+                WeightDtype::Bf16 => gemv_bf16_scalar(xi, w.panel_bf16(panel), t),
+                WeightDtype::Int8 { group } => {
+                    gemv_int8_scalar(xi, w.panel_bytes(panel), w.panel_scales(panel), group, t);
+                }
+                WeightDtype::Int4 { group } => {
+                    gemv_int4_scalar(xi, w.panel_bytes(panel), w.panel_scales(panel), group, t);
+                }
+            }
+        }
+    }
+}
+
+/// Base pointers of the tile's activation rows.
+fn row_ptrs<const M: usize>(x: &[&[f32]]) -> [*const f32; M] {
+    let mut xp = [std::ptr::null(); M];
+    for (ptr, row) in xp.iter_mut().zip(x) {
+        *ptr = row.as_ptr();
+    }
+    xp
+}
+
+/// Payload and scale base pointers of panels `p0 .. p0 + P`, with the
+/// quantization group (0 for float dtypes).
+fn panel_ptrs<const P: usize>(w: &PackedWeights, p0: usize) -> ([*const u8; P], [*const f32; P], usize) {
+    let mut bp = [std::ptr::null(); P];
+    let mut sp = [std::ptr::null(); P];
+    for p in 0..P {
+        bp[p] = w.panel_bytes(p0 + p).as_ptr();
+        sp[p] = w.panel_scales(p0 + p).as_ptr();
+    }
+    (bp, sp, w.dtype().group().unwrap_or(0))
+}
+
+/// AVX-512 f32 tile: one `zmm` accumulator per (row, panel).
 ///
 /// # Safety
 ///
-/// Caller must ensure AVX-512F is available; `panel` holds at least
-/// `x.len() * NR` values.
+/// AVX-512F must be available; `x` holds `M` rows of at least `k`
+/// values, `panels` holds `P` K-major panels of at least `k * NR`
+/// values, and `acc` holds `M * P` tiles.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-pub unsafe fn gemv_bf16_avx512(x: &[f32], panel: &[Bf16], acc: &mut [f32; NR]) {
+unsafe fn tile_f32_avx512<const M: usize, const P: usize>(
+    x: &[&[f32]],
+    panels: &[&[f32]],
+    k: usize,
+    acc: &mut [[f32; NR]],
+) {
     use std::arch::x86_64::*;
-    debug_assert!(panel.len() >= x.len() * NR);
-    // SAFETY: `Bf16` is repr(transparent) over u16; all loads stay
-    // within `panel` (one 16-lane row per K-step) per the assertion.
+    let xp = row_ptrs::<M>(x);
+    let mut wp = [std::ptr::null::<f32>(); P];
+    for (ptr, panel) in wp.iter_mut().zip(panels) {
+        *ptr = panel.as_ptr();
+    }
+    // SAFETY: Row reads stay below `k`, panel reads at `kk * NR` below
+    // `k * NR`, per the function's contract; NR == 16 == one __m512.
     unsafe {
-        let mut vacc = _mm512_loadu_ps(acc.as_ptr());
-        let wp = panel.as_ptr().cast::<u16>();
-        for (kk, &xv) in x.iter().enumerate() {
-            let h = _mm256_loadu_si256(wp.add(kk * NR).cast());
-            let w = _mm512_castsi512_ps(_mm512_slli_epi32(_mm512_cvtepu16_epi32(h), 16));
-            vacc = _mm512_fmadd_ps(_mm512_set1_ps(xv), w, vacc);
+        let mut c = [[_mm512_setzero_ps(); P]; M];
+        for kk in 0..k {
+            let mut xb = [_mm512_setzero_ps(); M];
+            for i in 0..M {
+                xb[i] = _mm512_set1_ps(*xp[i].add(kk));
+            }
+            for p in 0..P {
+                let wv = _mm512_loadu_ps(wp[p].add(kk * NR));
+                for i in 0..M {
+                    c[i][p] = _mm512_fmadd_ps(xb[i], wv, c[i][p]);
+                }
+            }
         }
-        _mm512_storeu_ps(acc.as_mut_ptr(), vacc);
+        for i in 0..M {
+            for p in 0..P {
+                _mm512_storeu_ps(acc[i * P + p].as_mut_ptr(), c[i][p]);
+            }
+        }
     }
 }
 
-/// AVX2+FMA fused-dequant BF16 GEMV (two 8-lane halves).
+/// AVX2+FMA f32 tile (two 8-lane halves per chain).
 ///
 /// # Safety
 ///
-/// Caller must ensure AVX2 and FMA are available; bounds as for
-/// [`gemv_bf16_avx512`].
+/// AVX2 and FMA must be available; otherwise as for
+/// [`tile_f32_avx512`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn gemv_bf16_avx2(x: &[f32], panel: &[Bf16], acc: &mut [f32; NR]) {
+unsafe fn tile_f32_avx2<const M: usize, const P: usize>(
+    x: &[&[f32]],
+    panels: &[&[f32]],
+    k: usize,
+    acc: &mut [[f32; NR]],
+) {
     use std::arch::x86_64::*;
-    debug_assert!(panel.len() >= x.len() * NR);
-    // SAFETY: As for `gemv_bf16_avx512`, split into ymm halves.
+    let xp = row_ptrs::<M>(x);
+    let mut wp = [std::ptr::null::<f32>(); P];
+    for (ptr, panel) in wp.iter_mut().zip(panels) {
+        *ptr = panel.as_ptr();
+    }
+    // SAFETY: As for `tile_f32_avx512`; NR == 16 == 2 x __m256.
     unsafe {
-        let mut lo = _mm256_loadu_ps(acc.as_ptr());
-        let mut hi = _mm256_loadu_ps(acc.as_ptr().add(8));
-        let wp = panel.as_ptr().cast::<u16>();
-        for (kk, &xv) in x.iter().enumerate() {
-            let h = _mm256_loadu_si256(wp.add(kk * NR).cast());
-            let wlo = _mm256_castsi256_ps(_mm256_slli_epi32(
-                _mm256_cvtepu16_epi32(_mm256_castsi256_si128(h)),
-                16,
-            ));
-            let whi = _mm256_castsi256_ps(_mm256_slli_epi32(
-                _mm256_cvtepu16_epi32(_mm256_extracti128_si256(h, 1)),
-                16,
-            ));
-            let ai = _mm256_set1_ps(xv);
-            lo = _mm256_fmadd_ps(ai, wlo, lo);
-            hi = _mm256_fmadd_ps(ai, whi, hi);
+        let mut lo = [[_mm256_setzero_ps(); P]; M];
+        let mut hi = [[_mm256_setzero_ps(); P]; M];
+        for kk in 0..k {
+            let mut xb = [_mm256_setzero_ps(); M];
+            for i in 0..M {
+                xb[i] = _mm256_set1_ps(*xp[i].add(kk));
+            }
+            for p in 0..P {
+                let w = wp[p].add(kk * NR);
+                let (wlo, whi) = (_mm256_loadu_ps(w), _mm256_loadu_ps(w.add(8)));
+                for i in 0..M {
+                    lo[i][p] = _mm256_fmadd_ps(xb[i], wlo, lo[i][p]);
+                    hi[i][p] = _mm256_fmadd_ps(xb[i], whi, hi[i][p]);
+                }
+            }
         }
-        _mm256_storeu_ps(acc.as_mut_ptr(), lo);
-        _mm256_storeu_ps(acc.as_mut_ptr().add(8), hi);
+        for i in 0..M {
+            for p in 0..P {
+                _mm256_storeu_ps(acc[i * P + p].as_mut_ptr(), lo[i][p]);
+                _mm256_storeu_ps(acc[i * P + p].as_mut_ptr().add(8), hi[i][p]);
+            }
+        }
     }
 }
 
-/// AVX-512 fused-dequant Int8 GEMV: 16 codes sign-extend to `i32`
-/// in-register, one scale mul per K-step (scale row reloaded once per
-/// quantization group), FMA accumulate.
+/// AVX-512 fused-dequant BF16 tile: 16 halves zero-extend to `i32` and
+/// shift into f32 position (exact).
 ///
 /// # Safety
 ///
-/// Caller must ensure AVX-512F is available; `bytes` holds at least
-/// `x.len() * NR` codes and `scales` one 16-wide row per group.
+/// AVX-512F must be available; `x` holds `M` rows of at least `w.k()`
+/// values, panels `p0 .. p0 + P` exist, `acc` holds `M * P` tiles, and
+/// `w` is bf16 (`k * NR` halves a panel).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-pub unsafe fn gemv_int8_avx512(
-    x: &[f32],
-    bytes: &[u8],
-    scales: &[f32],
-    group: usize,
-    acc: &mut [f32; NR],
+unsafe fn tile_bf16_avx512<const M: usize, const P: usize>(
+    x: &[&[f32]],
+    w: &PackedWeights,
+    p0: usize,
+    acc: &mut [[f32; NR]],
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(bytes.len() >= x.len() * NR);
-    // SAFETY: Row loads are 16 bytes at `kk * NR` and 64 bytes at
-    // `(kk/group) * NR`, both in bounds per the layout contract.
+    let k = w.k();
+    let xp = row_ptrs::<M>(x);
+    let (bp, _, _) = panel_ptrs::<P>(w, p0);
+    // SAFETY: One 16-half row per K-step at `kk * NR`, below `k * NR`.
     unsafe {
-        let mut vacc = _mm512_loadu_ps(acc.as_ptr());
-        let bp = bytes.as_ptr();
-        let sp = scales.as_ptr();
-        let k = x.len();
-        let mut g0 = 0usize;
-        let mut gi = 0usize;
-        while g0 < k {
-            let gend = (g0 + group).min(k);
-            let s = _mm512_loadu_ps(sp.add(gi * NR));
-            for (kk, &xv) in x.iter().enumerate().take(gend).skip(g0) {
-                let codes = _mm_loadu_si128(bp.add(kk * NR).cast());
-                let w = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(codes));
-                vacc = _mm512_fmadd_ps(_mm512_set1_ps(xv), _mm512_mul_ps(w, s), vacc);
+        let mut c = [[_mm512_setzero_ps(); P]; M];
+        for kk in 0..k {
+            let mut xb = [_mm512_setzero_ps(); M];
+            for i in 0..M {
+                xb[i] = _mm512_set1_ps(*xp[i].add(kk));
             }
-            g0 = gend;
-            gi += 1;
+            for p in 0..P {
+                let h = _mm256_loadu_si256(bp[p].cast::<u16>().add(kk * NR).cast());
+                let wv = _mm512_castsi512_ps(_mm512_slli_epi32(_mm512_cvtepu16_epi32(h), 16));
+                for i in 0..M {
+                    c[i][p] = _mm512_fmadd_ps(xb[i], wv, c[i][p]);
+                }
+            }
         }
-        _mm512_storeu_ps(acc.as_mut_ptr(), vacc);
+        for i in 0..M {
+            for p in 0..P {
+                _mm512_storeu_ps(acc[i * P + p].as_mut_ptr(), c[i][p]);
+            }
+        }
     }
 }
 
-/// AVX2+FMA fused-dequant Int8 GEMV (two 8-lane halves).
+/// AVX2+FMA fused-dequant BF16 tile (two 8-lane halves per chain).
 ///
 /// # Safety
 ///
-/// Caller must ensure AVX2 and FMA are available; bounds as for
-/// [`gemv_int8_avx512`].
+/// As for [`tile_bf16_avx512`], with AVX2 and FMA available.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn gemv_int8_avx2(
-    x: &[f32],
-    bytes: &[u8],
-    scales: &[f32],
-    group: usize,
-    acc: &mut [f32; NR],
+unsafe fn tile_bf16_avx2<const M: usize, const P: usize>(
+    x: &[&[f32]],
+    w: &PackedWeights,
+    p0: usize,
+    acc: &mut [[f32; NR]],
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(bytes.len() >= x.len() * NR);
-    // SAFETY: As for `gemv_int8_avx512`, split into ymm halves.
+    let k = w.k();
+    let xp = row_ptrs::<M>(x);
+    let (bp, _, _) = panel_ptrs::<P>(w, p0);
+    // SAFETY: As for `tile_bf16_avx512`.
     unsafe {
-        let mut lo = _mm256_loadu_ps(acc.as_ptr());
-        let mut hi = _mm256_loadu_ps(acc.as_ptr().add(8));
-        let bp = bytes.as_ptr();
-        let sp = scales.as_ptr();
-        let k = x.len();
-        let mut g0 = 0usize;
-        let mut gi = 0usize;
-        while g0 < k {
-            let gend = (g0 + group).min(k);
-            let slo = _mm256_loadu_ps(sp.add(gi * NR));
-            let shi = _mm256_loadu_ps(sp.add(gi * NR + 8));
-            for (kk, &xv) in x.iter().enumerate().take(gend).skip(g0) {
-                let codes = _mm_loadu_si128(bp.add(kk * NR).cast());
-                let wlo = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(codes));
-                let whi = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_srli_si128(codes, 8)));
-                let ai = _mm256_set1_ps(xv);
-                lo = _mm256_fmadd_ps(ai, _mm256_mul_ps(wlo, slo), lo);
-                hi = _mm256_fmadd_ps(ai, _mm256_mul_ps(whi, shi), hi);
+        let mut lo = [[_mm256_setzero_ps(); P]; M];
+        let mut hi = [[_mm256_setzero_ps(); P]; M];
+        for kk in 0..k {
+            let mut xb = [_mm256_setzero_ps(); M];
+            for i in 0..M {
+                xb[i] = _mm256_set1_ps(*xp[i].add(kk));
             }
-            g0 = gend;
-            gi += 1;
+            for p in 0..P {
+                let h = _mm256_loadu_si256(bp[p].cast::<u16>().add(kk * NR).cast());
+                let wlo = _mm256_castsi256_ps(_mm256_slli_epi32(
+                    _mm256_cvtepu16_epi32(_mm256_castsi256_si128(h)),
+                    16,
+                ));
+                let whi = _mm256_castsi256_ps(_mm256_slli_epi32(
+                    _mm256_cvtepu16_epi32(_mm256_extracti128_si256(h, 1)),
+                    16,
+                ));
+                for i in 0..M {
+                    lo[i][p] = _mm256_fmadd_ps(xb[i], wlo, lo[i][p]);
+                    hi[i][p] = _mm256_fmadd_ps(xb[i], whi, hi[i][p]);
+                }
+            }
         }
-        _mm256_storeu_ps(acc.as_mut_ptr(), lo);
-        _mm256_storeu_ps(acc.as_mut_ptr().add(8), hi);
+        for i in 0..M {
+            for p in 0..P {
+                _mm256_storeu_ps(acc[i * P + p].as_mut_ptr(), lo[i][p]);
+                _mm256_storeu_ps(acc[i * P + p].as_mut_ptr().add(8), hi[i][p]);
+            }
+        }
     }
 }
 
-/// AVX-512 fused-dequant Int4 GEMV. Each 16-byte row holds the codes of
+/// AVX-512 fused-dequant Int8 tile: 16 codes sign-extend to `i32`
+/// in-register, one scale mul per (K-step, panel) with the scale row
+/// reloaded once per group, then one FMA per row.
+///
+/// # Safety
+///
+/// As for [`tile_bf16_avx512`], with `w` int8: `k * NR` codes and one
+/// 16-wide scale row per group a panel, the group dividing `k`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tile_int8_avx512<const M: usize, const P: usize>(
+    x: &[&[f32]],
+    w: &PackedWeights,
+    p0: usize,
+    acc: &mut [[f32; NR]],
+) {
+    use std::arch::x86_64::*;
+    let k = w.k();
+    let xp = row_ptrs::<M>(x);
+    let (bp, sp, group) = panel_ptrs::<P>(w, p0);
+    // SAFETY: Code rows are 16 bytes at `kk * NR < k * NR`; scale rows 16
+    // floats at `gi * NR` for `gi < k / group`, per the layout contract.
+    unsafe {
+        let mut c = [[_mm512_setzero_ps(); P]; M];
+        for gi in 0..k / group {
+            let mut s = [_mm512_setzero_ps(); P];
+            for p in 0..P {
+                s[p] = _mm512_loadu_ps(sp[p].add(gi * NR));
+            }
+            for kk in gi * group..(gi + 1) * group {
+                let mut xb = [_mm512_setzero_ps(); M];
+                for i in 0..M {
+                    xb[i] = _mm512_set1_ps(*xp[i].add(kk));
+                }
+                for p in 0..P {
+                    let codes = _mm_loadu_si128(bp[p].add(kk * NR).cast());
+                    let wv = _mm512_mul_ps(_mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(codes)), s[p]);
+                    for i in 0..M {
+                        c[i][p] = _mm512_fmadd_ps(xb[i], wv, c[i][p]);
+                    }
+                }
+            }
+        }
+        for i in 0..M {
+            for p in 0..P {
+                _mm512_storeu_ps(acc[i * P + p].as_mut_ptr(), c[i][p]);
+            }
+        }
+    }
+}
+
+/// AVX2+FMA fused-dequant Int8 tile (two 8-lane halves per chain).
+///
+/// # Safety
+///
+/// As for [`tile_int8_avx512`], with AVX2 and FMA available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn tile_int8_avx2<const M: usize, const P: usize>(
+    x: &[&[f32]],
+    w: &PackedWeights,
+    p0: usize,
+    acc: &mut [[f32; NR]],
+) {
+    use std::arch::x86_64::*;
+    let k = w.k();
+    let xp = row_ptrs::<M>(x);
+    let (bp, sp, group) = panel_ptrs::<P>(w, p0);
+    // SAFETY: As for `tile_int8_avx512`.
+    unsafe {
+        let mut lo = [[_mm256_setzero_ps(); P]; M];
+        let mut hi = [[_mm256_setzero_ps(); P]; M];
+        for gi in 0..k / group {
+            let mut slo = [_mm256_setzero_ps(); P];
+            let mut shi = [_mm256_setzero_ps(); P];
+            for p in 0..P {
+                slo[p] = _mm256_loadu_ps(sp[p].add(gi * NR));
+                shi[p] = _mm256_loadu_ps(sp[p].add(gi * NR + 8));
+            }
+            for kk in gi * group..(gi + 1) * group {
+                let mut xb = [_mm256_setzero_ps(); M];
+                for i in 0..M {
+                    xb[i] = _mm256_set1_ps(*xp[i].add(kk));
+                }
+                for p in 0..P {
+                    let codes = _mm_loadu_si128(bp[p].add(kk * NR).cast());
+                    let wlo = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(codes));
+                    let whi = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_srli_si128(codes, 8)));
+                    let (wlo, whi) = (_mm256_mul_ps(wlo, slo[p]), _mm256_mul_ps(whi, shi[p]));
+                    for i in 0..M {
+                        lo[i][p] = _mm256_fmadd_ps(xb[i], wlo, lo[i][p]);
+                        hi[i][p] = _mm256_fmadd_ps(xb[i], whi, hi[i][p]);
+                    }
+                }
+            }
+        }
+        for i in 0..M {
+            for p in 0..P {
+                _mm256_storeu_ps(acc[i * P + p].as_mut_ptr(), lo[i][p]);
+                _mm256_storeu_ps(acc[i * P + p].as_mut_ptr().add(8), hi[i][p]);
+            }
+        }
+    }
+}
+
+/// AVX-512 fused-dequant Int4 tile. Each 16-byte row holds the codes of
 /// two adjacent K-steps; nibbles sign-extend via shift pairs (even:
 /// `<< 28 >> 28`, odd: `<< 24 >> 28`). Int4 groups are even, so both
 /// K-steps of a byte row share one scale row.
 ///
 /// # Safety
 ///
-/// Caller must ensure AVX-512F is available; `bytes` holds at least
-/// `ceil(x.len()/2) * NR` packed bytes, `scales` one row per group.
+/// As for [`tile_int8_avx512`], with `w` int4: `k / 2 * NR` packed bytes
+/// a panel and an even group.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-pub unsafe fn gemv_int4_avx512(
-    x: &[f32],
-    bytes: &[u8],
-    scales: &[f32],
-    group: usize,
-    acc: &mut [f32; NR],
+unsafe fn tile_int4_avx512<const M: usize, const P: usize>(
+    x: &[&[f32]],
+    w: &PackedWeights,
+    p0: usize,
+    acc: &mut [[f32; NR]],
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(bytes.len() >= x.len().div_ceil(2) * NR);
-    // SAFETY: Byte-row loads are 16 bytes at `(kk/2) * NR`; scale loads
-    // 64 bytes at the group row — in bounds per the layout contract.
+    let k = w.k();
+    let xp = row_ptrs::<M>(x);
+    let (bp, sp, group) = panel_ptrs::<P>(w, p0);
+    // SAFETY: Byte rows are 16 bytes at `(kk / 2) * NR < k / 2 * NR`;
+    // scale rows as for `tile_int8_avx512`.
     unsafe {
-        let mut vacc = _mm512_loadu_ps(acc.as_ptr());
-        let bp = bytes.as_ptr();
-        let sp = scales.as_ptr();
-        let k = x.len();
-        let xp = x.as_ptr();
-        let mut g0 = 0usize;
-        let mut gi = 0usize;
-        while g0 < k {
-            let gend = (g0 + group).min(k);
-            let s = _mm512_loadu_ps(sp.add(gi * NR));
-            let mut kk = g0;
-            while kk + 2 <= gend {
-                let b = _mm_loadu_si128(bp.add((kk / 2) * NR).cast());
-                let w32 = _mm512_cvtepu8_epi32(b);
-                let we = _mm512_srai_epi32(_mm512_slli_epi32(w32, 28), 28);
-                let wo = _mm512_srai_epi32(_mm512_slli_epi32(w32, 24), 28);
-                let wve = _mm512_mul_ps(_mm512_cvtepi32_ps(we), s);
-                let wvo = _mm512_mul_ps(_mm512_cvtepi32_ps(wo), s);
-                vacc = _mm512_fmadd_ps(_mm512_set1_ps(*xp.add(kk)), wve, vacc);
-                vacc = _mm512_fmadd_ps(_mm512_set1_ps(*xp.add(kk + 1)), wvo, vacc);
-                kk += 2;
+        let mut c = [[_mm512_setzero_ps(); P]; M];
+        for gi in 0..k / group {
+            let mut s = [_mm512_setzero_ps(); P];
+            for p in 0..P {
+                s[p] = _mm512_loadu_ps(sp[p].add(gi * NR));
             }
-            if kk < gend {
-                // Odd trailing K-step (cannot occur for packed weights,
-                // whose even group divides k — kept for robustness).
-                let b = _mm_loadu_si128(bp.add((kk / 2) * NR).cast());
-                let w32 = _mm512_cvtepu8_epi32(b);
-                let we = _mm512_srai_epi32(_mm512_slli_epi32(w32, 28), 28);
-                let wve = _mm512_mul_ps(_mm512_cvtepi32_ps(we), s);
-                vacc = _mm512_fmadd_ps(_mm512_set1_ps(*xp.add(kk)), wve, vacc);
+            for kk in (gi * group..(gi + 1) * group).step_by(2) {
+                let mut xe = [_mm512_setzero_ps(); M];
+                let mut xo = [_mm512_setzero_ps(); M];
+                for i in 0..M {
+                    xe[i] = _mm512_set1_ps(*xp[i].add(kk));
+                    xo[i] = _mm512_set1_ps(*xp[i].add(kk + 1));
+                }
+                for p in 0..P {
+                    let w32 = _mm512_cvtepu8_epi32(_mm_loadu_si128(bp[p].add((kk / 2) * NR).cast()));
+                    let we = _mm512_srai_epi32(_mm512_slli_epi32(w32, 28), 28);
+                    let wo = _mm512_srai_epi32(_mm512_slli_epi32(w32, 24), 28);
+                    let wve = _mm512_mul_ps(_mm512_cvtepi32_ps(we), s[p]);
+                    let wvo = _mm512_mul_ps(_mm512_cvtepi32_ps(wo), s[p]);
+                    for i in 0..M {
+                        c[i][p] = _mm512_fmadd_ps(xe[i], wve, c[i][p]);
+                        c[i][p] = _mm512_fmadd_ps(xo[i], wvo, c[i][p]);
+                    }
+                }
             }
-            g0 = gend;
-            gi += 1;
         }
-        _mm512_storeu_ps(acc.as_mut_ptr(), vacc);
+        for i in 0..M {
+            for p in 0..P {
+                _mm512_storeu_ps(acc[i * P + p].as_mut_ptr(), c[i][p]);
+            }
+        }
     }
 }
 
-/// AVX2+FMA fused-dequant Int4 GEMV (two 8-lane halves).
+/// AVX2+FMA fused-dequant Int4 tile (two 8-lane halves per chain).
 ///
 /// # Safety
 ///
-/// Caller must ensure AVX2 and FMA are available; bounds as for
-/// [`gemv_int4_avx512`].
+/// As for [`tile_int4_avx512`], with AVX2 and FMA available.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn gemv_int4_avx2(
-    x: &[f32],
-    bytes: &[u8],
-    scales: &[f32],
-    group: usize,
-    acc: &mut [f32; NR],
+unsafe fn tile_int4_avx2<const M: usize, const P: usize>(
+    x: &[&[f32]],
+    w: &PackedWeights,
+    p0: usize,
+    acc: &mut [[f32; NR]],
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(bytes.len() >= x.len().div_ceil(2) * NR);
-    // SAFETY: As for `gemv_int4_avx512`, split into ymm halves.
+    let k = w.k();
+    let xp = row_ptrs::<M>(x);
+    let (bp, sp, group) = panel_ptrs::<P>(w, p0);
+    // SAFETY: As for `tile_int4_avx512`.
     unsafe {
-        let mut lo = _mm256_loadu_ps(acc.as_ptr());
-        let mut hi = _mm256_loadu_ps(acc.as_ptr().add(8));
-        let bp = bytes.as_ptr();
-        let sp = scales.as_ptr();
-        let k = x.len();
-        let xp = x.as_ptr();
-        let mut g0 = 0usize;
-        let mut gi = 0usize;
-        while g0 < k {
-            let gend = (g0 + group).min(k);
-            let slo = _mm256_loadu_ps(sp.add(gi * NR));
-            let shi = _mm256_loadu_ps(sp.add(gi * NR + 8));
-            let mut kk = g0;
-            while kk < gend {
-                let b = _mm_loadu_si128(bp.add((kk / 2) * NR).cast());
-                let blo = _mm256_cvtepu8_epi32(b);
-                let bhi = _mm256_cvtepu8_epi32(_mm_srli_si128(b, 8));
-                let elo = _mm256_srai_epi32(_mm256_slli_epi32(blo, 28), 28);
-                let ehi = _mm256_srai_epi32(_mm256_slli_epi32(bhi, 28), 28);
-                let ae = _mm256_set1_ps(*xp.add(kk));
-                lo = _mm256_fmadd_ps(ae, _mm256_mul_ps(_mm256_cvtepi32_ps(elo), slo), lo);
-                hi = _mm256_fmadd_ps(ae, _mm256_mul_ps(_mm256_cvtepi32_ps(ehi), shi), hi);
-                if kk + 1 < gend {
+        let mut lo = [[_mm256_setzero_ps(); P]; M];
+        let mut hi = [[_mm256_setzero_ps(); P]; M];
+        for gi in 0..k / group {
+            let mut slo = [_mm256_setzero_ps(); P];
+            let mut shi = [_mm256_setzero_ps(); P];
+            for p in 0..P {
+                slo[p] = _mm256_loadu_ps(sp[p].add(gi * NR));
+                shi[p] = _mm256_loadu_ps(sp[p].add(gi * NR + 8));
+            }
+            for kk in (gi * group..(gi + 1) * group).step_by(2) {
+                let mut xe = [_mm256_setzero_ps(); M];
+                let mut xo = [_mm256_setzero_ps(); M];
+                for i in 0..M {
+                    xe[i] = _mm256_set1_ps(*xp[i].add(kk));
+                    xo[i] = _mm256_set1_ps(*xp[i].add(kk + 1));
+                }
+                for p in 0..P {
+                    let b = _mm_loadu_si128(bp[p].add((kk / 2) * NR).cast());
+                    let blo = _mm256_cvtepu8_epi32(b);
+                    let bhi = _mm256_cvtepu8_epi32(_mm_srli_si128(b, 8));
+                    let elo = _mm256_srai_epi32(_mm256_slli_epi32(blo, 28), 28);
+                    let ehi = _mm256_srai_epi32(_mm256_slli_epi32(bhi, 28), 28);
                     let olo = _mm256_srai_epi32(_mm256_slli_epi32(blo, 24), 28);
                     let ohi = _mm256_srai_epi32(_mm256_slli_epi32(bhi, 24), 28);
-                    let ao = _mm256_set1_ps(*xp.add(kk + 1));
-                    lo = _mm256_fmadd_ps(ao, _mm256_mul_ps(_mm256_cvtepi32_ps(olo), slo), lo);
-                    hi = _mm256_fmadd_ps(ao, _mm256_mul_ps(_mm256_cvtepi32_ps(ohi), shi), hi);
+                    let elo = _mm256_mul_ps(_mm256_cvtepi32_ps(elo), slo[p]);
+                    let ehi = _mm256_mul_ps(_mm256_cvtepi32_ps(ehi), shi[p]);
+                    let olo = _mm256_mul_ps(_mm256_cvtepi32_ps(olo), slo[p]);
+                    let ohi = _mm256_mul_ps(_mm256_cvtepi32_ps(ohi), shi[p]);
+                    for i in 0..M {
+                        lo[i][p] = _mm256_fmadd_ps(xe[i], elo, lo[i][p]);
+                        hi[i][p] = _mm256_fmadd_ps(xe[i], ehi, hi[i][p]);
+                        lo[i][p] = _mm256_fmadd_ps(xo[i], olo, lo[i][p]);
+                        hi[i][p] = _mm256_fmadd_ps(xo[i], ohi, hi[i][p]);
+                    }
                 }
-                kk += 2;
             }
-            g0 = gend;
-            gi += 1;
         }
-        _mm256_storeu_ps(acc.as_mut_ptr(), lo);
-        _mm256_storeu_ps(acc.as_mut_ptr().add(8), hi);
-    }
-}
-
-/// Dispatching fused-dequant BF16 GEMV.
-#[inline]
-pub fn gemv_bf16(x: &[f32], panel: &[Bf16], acc: &mut [f32; NR]) {
-    match effective_simd_level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level never exceeds the runtime-detected features.
-        SimdLevel::Avx512 => unsafe { gemv_bf16_avx512(x, panel, acc) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: As above.
-        SimdLevel::Avx2Fma => unsafe { gemv_bf16_avx2(x, panel, acc) },
-        _ => gemv_bf16_scalar(x, panel, acc),
-    }
-}
-
-/// Dispatching fused-dequant Int8 GEMV.
-#[inline]
-pub fn gemv_int8(x: &[f32], bytes: &[u8], scales: &[f32], group: usize, acc: &mut [f32; NR]) {
-    match effective_simd_level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level never exceeds the runtime-detected features.
-        SimdLevel::Avx512 => unsafe { gemv_int8_avx512(x, bytes, scales, group, acc) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: As above.
-        SimdLevel::Avx2Fma => unsafe { gemv_int8_avx2(x, bytes, scales, group, acc) },
-        _ => gemv_int8_scalar(x, bytes, scales, group, acc),
-    }
-}
-
-/// Dispatching fused-dequant Int4 GEMV.
-#[inline]
-pub fn gemv_int4(x: &[f32], bytes: &[u8], scales: &[f32], group: usize, acc: &mut [f32; NR]) {
-    match effective_simd_level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level never exceeds the runtime-detected features.
-        SimdLevel::Avx512 => unsafe { gemv_int4_avx512(x, bytes, scales, group, acc) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: As above.
-        SimdLevel::Avx2Fma => unsafe { gemv_int4_avx2(x, bytes, scales, group, acc) },
-        _ => gemv_int4_scalar(x, bytes, scales, group, acc),
+        for i in 0..M {
+            for p in 0..P {
+                _mm256_storeu_ps(acc[i * P + p].as_mut_ptr(), lo[i][p]);
+                _mm256_storeu_ps(acc[i * P + p].as_mut_ptr().add(8), hi[i][p]);
+            }
+        }
     }
 }
 
@@ -800,22 +1015,10 @@ mod tests {
         }
         let (a_rows, staged) = random_inputs(kb, M, seed);
         let a: [&[f32]; M] = std::array::from_fn(|i| a_rows[i].as_slice());
-        let mut expect = [[0.1f32; NR]; M];
-        let mut got = [[0.1f32; NR]; M];
+        let mut expect = [[0.0f32; NR]; M];
+        let mut got = [[f32::NAN; NR]; M];
         microkernel_scalar::<M>(a, &staged, kb, &mut expect);
-        match level {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: guarded by the simd_level() check above.
-            SimdLevel::Avx512 => unsafe {
-                microkernel_avx512::<M>(a, &staged, kb, &mut got)
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: guarded by the simd_level() check above.
-            SimdLevel::Avx2Fma => unsafe {
-                microkernel_avx2::<M>(a, &staged, kb, &mut got)
-            },
-            _ => microkernel_scalar::<M>(a, &staged, kb, &mut got),
-        }
+        f32_tile(level, &a, &[&staged], kb, &mut got);
         for i in 0..M {
             for j in 0..NR {
                 let e = expect[i][j];
@@ -850,30 +1053,6 @@ mod tests {
             check_level::<3>(SimdLevel::Avx2Fma, kb, 5);
             check_level::<4>(SimdLevel::Avx2Fma, kb, 6);
         }
-    }
-
-    #[test]
-    fn dispatcher_accumulates_into_existing_tiles() {
-        let (a_rows, staged) = random_inputs(8, 2, 7);
-        let a: [&[f32]; 2] = [a_rows[0].as_slice(), a_rows[1].as_slice()];
-        let mut acc = [[1.0f32; NR]; 2];
-        microkernel::<2>(a, &staged, 8, &mut acc);
-        let mut fresh = [[0.0f32; NR]; 2];
-        microkernel::<2>(a, &staged, 8, &mut fresh);
-        for i in 0..2 {
-            for j in 0..NR {
-                assert!((acc[i][j] - fresh[i][j] - 1.0).abs() < 1e-4);
-            }
-        }
-    }
-
-    #[test]
-    fn zero_kb_is_identity() {
-        let (a_rows, staged) = random_inputs(4, 1, 8);
-        let a: [&[f32]; 1] = [a_rows[0].as_slice()];
-        let mut acc = [[2.5f32; NR]; 1];
-        microkernel::<1>(a, &staged, 0, &mut acc);
-        assert!(acc[0].iter().all(|&v| v == 2.5));
     }
 
     #[test]
@@ -919,33 +1098,73 @@ mod tests {
     }
 
     #[test]
-    fn fused_dequant_gemv_bitwise_matches_scalar_at_every_level() {
-        for level in [SimdLevel::Scalar, SimdLevel::Avx2Fma, SimdLevel::Avx512] {
-            if simd_level() < level {
-                continue;
-            }
-            for (k, group) in [(8usize, 8usize), (16, 8), (64, 16), (96, 32), (24, 8)] {
-                let (x, bytes, scales) = quant_fixture(k, group, 11 + k as u64);
-                let halves: Vec<Bf16> = x.iter().map(|&v| Bf16::from_f32(v * 3.0)).collect();
-                let panel: Vec<Bf16> = (0..k * NR).map(|i| halves[i % k]).collect();
-
-                let mut want = [0.25f32; NR];
-                gemv_int8_scalar(&x, &bytes, &scales, group, &mut want);
-                let mut got = [0.25f32; NR];
-                with_forced_simd_level(level, || gemv_int8(&x, &bytes, &scales, group, &mut got));
-                assert_acc_bits_eq(&want, &got, &format!("int8 {level:?} k={k} g={group}"));
-
-                let mut want = [-0.5f32; NR];
-                gemv_int4_scalar(&x, &bytes, &scales, group, &mut want);
-                let mut got = [-0.5f32; NR];
-                with_forced_simd_level(level, || gemv_int4(&x, &bytes, &scales, group, &mut got));
-                assert_acc_bits_eq(&want, &got, &format!("int4 {level:?} k={k} g={group}"));
-
-                let mut want = [1.5f32; NR];
-                gemv_bf16_scalar(&x, &panel, &mut want);
-                let mut got = [1.5f32; NR];
-                with_forced_simd_level(level, || gemv_bf16(&x, &panel, &mut got));
-                assert_acc_bits_eq(&want, &got, &format!("bf16 {level:?} k={k}"));
+    fn vector_tile_bitwise_matches_scalar_at_every_level() {
+        // Every tile shape the dispatcher can pick, against the chain of
+        // each (row, panel) computed alone by the scalar reference.
+        let (k, n, m) = (48usize, 5 * NR - 3, TILE_ROWS);
+        let mut rng = seeded(11);
+        let wmat = kt_tensor::Matrix::random_uniform(n, k, 1.0, &mut rng).unwrap();
+        let rows: Vec<Vec<f32>> = (0..m)
+            .map(|_| {
+                let mut row = vec![0.0f32; k];
+                kt_tensor::rng::fill_uniform(&mut rng, &mut row, 1.0);
+                row
+            })
+            .collect();
+        for dtype in [
+            WeightDtype::F32,
+            WeightDtype::Bf16,
+            WeightDtype::Int8 { group: 16 },
+            WeightDtype::Int4 { group: 8 },
+        ] {
+            let w = PackedWeights::pack(&wmat, dtype).unwrap();
+            let x: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
+            for level in [SimdLevel::Scalar, SimdLevel::Avx2Fma, SimdLevel::Avx512] {
+                if simd_level() < level {
+                    continue;
+                }
+                let mut want = vec![[0.0f32; NR]; m * w.n_panels()];
+                if dtype != WeightDtype::F32 {
+                    tile_scalar(&x, &w, 0, w.n_panels(), &mut want);
+                }
+                for (i, row) in x.iter().enumerate() {
+                    for p in 0..w.n_panels() {
+                        let t = &mut want[i * w.n_panels() + p];
+                        match dtype {
+                            WeightDtype::F32 if level == SimdLevel::Scalar => {
+                                microkernel_scalar::<1>([row], w.panel_f32(p), k, std::array::from_mut(t));
+                            }
+                            // The SIMD f32 chain is fused: one `mul_add`
+                            // per K-step.
+                            WeightDtype::F32 => {
+                                let panel = w.panel_f32(p);
+                                for (kk, &xv) in row.iter().enumerate() {
+                                    for j in 0..NR {
+                                        t[j] = xv.mul_add(panel[kk * NR + j], t[j]);
+                                    }
+                                }
+                            }
+                            _ => {}
+                        }
+                    }
+                }
+                for mr in 1..=m {
+                    for np in 1..=tile_panels(level) {
+                        for p0 in 0..=w.n_panels() - np {
+                            let mut got = [[f32::NAN; NR]; TILE_ROWS * MAX_TILE_PANELS];
+                            vector_tile(level, &x[..mr], &w, p0, np, &mut got);
+                            for i in 0..mr {
+                                for p in 0..np {
+                                    assert_acc_bits_eq(
+                                        &want[i * w.n_panels() + p0 + p],
+                                        &got[i * np + p],
+                                        &format!("{dtype:?} {level:?} {mr}x{np} row {i} panel {}", p0 + p),
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
             }
         }
     }

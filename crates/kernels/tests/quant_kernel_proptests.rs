@@ -1,37 +1,40 @@
-//! Property tests for the fused-dequant GEMV microkernels and the
-//! quantized checkpoint round-trip.
+//! Property tests for the vector (GEMV) kernel across weight dtypes and
+//! the quantized checkpoint round-trip.
 //!
-//! The serving contract of the int8/int4 hot path is **bitwise**
-//! SIMD-level independence: for every panel, group size, reduction
-//! length and forced SIMD level, the fused-dequant kernels must
-//! produce exactly the bytes of the scalar golden reference (same
-//! widen, one IEEE scale multiply, one correctly-rounded FMA per
-//! K-step, ascending order). That property is what keeps chunked
-//! prefill bitwise-identical to monolithic prefill on quantized
-//! models regardless of which microkernel the dispatcher picks.
+//! The serving contract of the vector kernel is **bitwise** tile-shape
+//! and SIMD-level independence: for every batch size, panel count,
+//! group size, reduction length and forced SIMD level, each (row,
+//! panel) output must be exactly the bytes of that row and panel
+//! computed alone by the scalar golden reference (same widen, one IEEE
+//! scale multiply, one correctly-rounded FMA per K-step, ascending
+//! order). That property is what keeps chunked prefill bitwise-identical
+//! to monolithic prefill on quantized models regardless of which
+//! microkernel the dispatcher picks, and a row's logits independent of
+//! the rows batched with it.
 //!
 //! The round-trip property pins the checkpoint format: pack →
 //! write_to → read_from must reproduce the packed payload exactly
 //! (same panel bytes, scales and stored size), so a model loaded from
 //! disk serves bit-identical logits to the freshly packed one.
 
+use kt_kernels::gemm::{gemm_rowwise, gemv_vector};
 use kt_kernels::simd::{
-    self, gemv_bf16_scalar, gemv_int4_scalar, gemv_int8_scalar, with_forced_simd_level,
+    self, gemv_bf16_scalar, gemv_int4_scalar, gemv_int8_scalar, microkernel_scalar,
+    with_forced_simd_level,
 };
 use kt_kernels::SimdLevel;
-use kt_tensor::rng::{fill_uniform, seeded};
+use kt_tensor::rng::seeded;
 use kt_tensor::{Matrix, PackedWeights, WeightDtype, NR};
 use proptest::prelude::*;
 
 const LEVELS: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Avx2Fma, SimdLevel::Avx512];
 
-/// A random matrix packed at `dtype`, plus a random input vector.
-fn packed_fixture(n: usize, k: usize, dtype: WeightDtype, seed: u64) -> (PackedWeights, Vec<f32>) {
+/// A random matrix packed at `dtype`, plus `m` random input rows.
+fn packed_fixture(n: usize, k: usize, m: usize, dtype: WeightDtype, seed: u64) -> (PackedWeights, Matrix) {
     let mut rng = seeded(seed);
     let w = Matrix::random_uniform(n, k, 1.0, &mut rng).expect("weights");
     let packed = PackedWeights::pack(&w, dtype).expect("pack");
-    let mut x = vec![0.0f32; k];
-    fill_uniform(&mut rng, &mut x, 1.0);
+    let x = Matrix::random_uniform(m, k, 1.0, &mut rng).expect("inputs");
     (packed, x)
 }
 
@@ -50,79 +53,101 @@ fn unpacked_matvec(packed: &PackedWeights, x: &[f32]) -> Vec<f32> {
         .collect()
 }
 
+/// The chain of row `x` against panel `p` computed alone at `level`:
+/// the scalar golden reference of the dtype. F32 is the one dtype whose
+/// scalar kernel (`microkernel_scalar`, unfused `acc += x * w`) differs
+/// from its SIMD kernels, which run a correctly-rounded FMA per K-step.
+fn reference_chain(x: &[f32], packed: &PackedWeights, p: usize, level: SimdLevel) -> [f32; NR] {
+    let mut acc = [0.0f32; NR];
+    match packed.dtype() {
+        WeightDtype::F32 if level == SimdLevel::Scalar => {
+            microkernel_scalar::<1>([x], packed.panel_f32(p), x.len(), std::array::from_mut(&mut acc));
+        }
+        WeightDtype::F32 => {
+            let panel = packed.panel_f32(p);
+            for (kk, &xv) in x.iter().enumerate() {
+                for (j, a) in acc.iter_mut().enumerate() {
+                    *a = xv.mul_add(panel[kk * NR + j], *a);
+                }
+            }
+        }
+        WeightDtype::Bf16 => gemv_bf16_scalar(x, packed.panel_bf16(p), &mut acc),
+        WeightDtype::Int8 { group } => gemv_int8_scalar(
+            x, packed.panel_bytes(p), packed.panel_scales(p), group, &mut acc,
+        ),
+        WeightDtype::Int4 { group } => gemv_int4_scalar(
+            x, packed.panel_bytes(p), packed.panel_scales(p), group, &mut acc,
+        ),
+    }
+    acc
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every SIMD level of every fused-dequant GEMV produces exactly
-    /// the scalar golden reference's bytes, across group sizes,
-    /// reduction lengths (including ones that leave an odd int4 tail
-    /// within the last pair) and seeded accumulators; and the shared
-    /// result tracks the unpacked-weight matvec within quantization-
-    /// free rounding error.
+    /// At every forced SIMD level and for every dtype, each (row, panel)
+    /// output of the register-blocked vector kernel — batches of 1 to 9
+    /// rows (crossing the 4-row tile), panel counts that are not a
+    /// multiple of the tile width, `n % 16 != 0` — is exactly the bytes
+    /// of that row and panel computed alone by the scalar reference,
+    /// and the quantized dtypes' bytes do not depend on the level. The
+    /// result tracks the unpacked-weight matvec within rounding error.
     #[test]
     fn fused_dequant_gemv_is_bitwise_simd_level_independent(
         seed in 0u64..1_000,
-        n in 1usize..40,
+        n in 1usize..120,
+        m in 1usize..10,
         group_sel in 0usize..3,
         mult in 1usize..5,
-        which in 0usize..3,
+        which in 0usize..4,
     ) {
         let group = [8usize, 16, 32][group_sel];
         let k = group * mult;
         let dtype = match which {
-            0 => WeightDtype::Bf16,
-            1 => WeightDtype::Int8 { group },
+            0 => WeightDtype::F32,
+            1 => WeightDtype::Bf16,
+            2 => WeightDtype::Int8 { group },
             _ => WeightDtype::Int4 { group },
         };
-        let (packed, x) = packed_fixture(n, k, dtype, seed);
-        let reference = unpacked_matvec(&packed, &x);
+        let (packed, x) = packed_fixture(n, k, m, dtype, seed);
 
-        for p in 0..packed.n_panels() {
-            // Scalar golden reference for this panel.
-            let mut want = [0.0f32; NR];
-            match dtype {
-                WeightDtype::Bf16 => gemv_bf16_scalar(&x, packed.panel_bf16(p), &mut want),
-                WeightDtype::Int8 { group } => gemv_int8_scalar(
-                    &x, packed.panel_bytes(p), packed.panel_scales(p), group, &mut want,
-                ),
-                WeightDtype::Int4 { group } => gemv_int4_scalar(
-                    &x, packed.panel_bytes(p), packed.panel_scales(p), group, &mut want,
-                ),
-                WeightDtype::F32 => unreachable!(),
-            }
-
-            for level in LEVELS {
-                let mut acc = [0.0f32; NR];
-                with_forced_simd_level(level, || match dtype {
-                    WeightDtype::Bf16 => simd::gemv_bf16(&x, packed.panel_bf16(p), &mut acc),
-                    WeightDtype::Int8 { group } => simd::gemv_int8(
-                        &x, packed.panel_bytes(p), packed.panel_scales(p), group, &mut acc,
-                    ),
-                    WeightDtype::Int4 { group } => simd::gemv_int4(
-                        &x, packed.panel_bytes(p), packed.panel_scales(p), group, &mut acc,
-                    ),
-                    WeightDtype::F32 => unreachable!(),
-                });
-                let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-                let acc_bits: Vec<u32> = acc.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(
-                    &want_bits, &acc_bits,
-                    "panel {} diverged from scalar at {:?} ({:?})", p, level, dtype
-                );
-            }
-
-            // Semantic cross-check against the unpacked weights for the
-            // rows this panel actually covers.
-            for (j, &got) in want.iter().enumerate() {
-                let r = p * NR + j;
-                if r >= packed.n() {
-                    continue;
+        for level in LEVELS {
+            let level = level.min(simd::simd_level());
+            let mut out = Matrix::zeros(m, n).expect("out");
+            let mut y = vec![f32::NAN; n];
+            with_forced_simd_level(level, || {
+                gemm_rowwise(&x, &packed, &mut out, None).expect("rowwise");
+                gemv_vector(x.row(0), &packed, &mut y, None).expect("gemv");
+            });
+            prop_assert_eq!(bits(&y), bits(out.row(0)), "gemv_vector vs row 0 at {:?}", level);
+            for i in 0..m {
+                for p in 0..packed.n_panels() {
+                    let cols = p * NR..((p + 1) * NR).min(n);
+                    let want = reference_chain(x.row(i), &packed, p, level);
+                    prop_assert_eq!(
+                        bits(&want[..cols.len()]), bits(&out.row(i)[cols]),
+                        "row {} panel {} diverged from scalar at {:?} ({:?}, m={})",
+                        i, p, level, dtype, m
+                    );
                 }
+            }
+        }
+
+        // Semantic cross-check against the unpacked weights.
+        let mut out = Matrix::zeros(m, n).expect("out");
+        gemm_rowwise(&x, &packed, &mut out, None).expect("rowwise");
+        for i in 0..m {
+            let reference = unpacked_matvec(&packed, x.row(i));
+            for (r, &got) in out.row(i).iter().enumerate() {
                 let err = (got as f64 - reference[r] as f64).abs();
                 let tol = 1e-4 * (1.0 + reference[r].abs() as f64) * k as f64;
                 prop_assert!(
                     err <= tol,
-                    "row {} off by {} (got {}, want {})", r, err, got, reference[r]
+                    "row {} col {} off by {} (got {}, want {})", i, r, err, got, reference[r]
                 );
             }
         }
@@ -151,7 +176,7 @@ proptest! {
             1 => WeightDtype::Int8 { group },
             _ => WeightDtype::Int4 { group },
         };
-        let (packed, _x) = packed_fixture(20, k, dtype, seed);
+        let (packed, _x) = packed_fixture(20, k, 1, dtype, seed);
 
         for p in 0..packed.n_panels() {
             let mut want = vec![f32::NAN; (k1 - k0) * NR];
@@ -207,7 +232,7 @@ proptest! {
             2 => WeightDtype::Int8 { group },
             _ => WeightDtype::Int4 { group },
         };
-        let (packed, x) = packed_fixture(n, k, dtype, seed);
+        let (packed, x) = packed_fixture(n, k, 1, dtype, seed);
 
         let mut blob = Vec::new();
         packed.write_to(&mut blob).expect("serialize");
@@ -223,16 +248,10 @@ proptest! {
         }
 
         // The reloaded weights serve the same bits.
-        if let WeightDtype::Int8 { group } = dtype {
-            for p in 0..packed.n_panels() {
-                let mut a = [0.0f32; NR];
-                let mut b = [0.0f32; NR];
-                simd::gemv_int8(&x, packed.panel_bytes(p), packed.panel_scales(p), group, &mut a);
-                simd::gemv_int8(&x, reloaded.panel_bytes(p), reloaded.panel_scales(p), group, &mut b);
-                let a_bits: Vec<u32> = a.iter().map(|v| v.to_bits()).collect();
-                let b_bits: Vec<u32> = b.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(a_bits, b_bits);
-            }
-        }
+        let mut a = vec![0.0f32; n];
+        let mut b = vec![0.0f32; n];
+        gemv_vector(x.row(0), &packed, &mut a, None).expect("gemv");
+        gemv_vector(x.row(0), &reloaded, &mut b, None).expect("gemv");
+        prop_assert_eq!(bits(&a), bits(&b));
     }
 }

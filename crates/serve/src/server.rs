@@ -355,6 +355,9 @@ struct ServerInner {
     /// platform anchors.
     preempt_cost: PreemptCostModel,
     cfg: ServerConfig,
+    /// Test hook widening the scheduler's shutdown-check-to-park window.
+    #[cfg(test)]
+    park_hook: tests::ParkHook,
 }
 
 impl ServerInner {
@@ -672,6 +675,8 @@ impl Server {
             comp_hists: Mutex::new(std::array::from_fn(|_| LogHistogram::new())),
             preempt_cost,
             cfg,
+            #[cfg(test)]
+            park_hook: tests::ParkHook::from_thread(),
         });
         let loop_inner = Arc::clone(&inner);
         let scheduler = std::thread::Builder::new()
@@ -1070,7 +1075,17 @@ impl Server {
     }
 
     fn stop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
+        // Liveness: `admit` reads `shutdown` under the queue lock and
+        // holds that lock until `wait` releases it atomically. Storing
+        // the flag under the same lock puts the store either before
+        // that read (the scheduler sees it and never parks) or after
+        // the scheduler is parked (the notify below wakes it). Stored
+        // without the lock it could fall between read and park, and the
+        // wakeup would be lost with `join` below blocked forever.
+        {
+            let _queue = self.inner.queue.lock();
+            self.inner.shutdown.store(true, Ordering::Release);
+        }
         self.inner.wakeup.notify_all();
         if let Some(t) = self.scheduler.take() {
             let _ = t.join();
@@ -1348,6 +1363,8 @@ fn admit(inner: &ServerInner, active: &mut Vec<ActiveSeq>, preempted: &mut Vec<P
             std::thread::yield_now();
             continue;
         }
+        #[cfg(test)]
+        inner.park_hook.before_park(&inner.shutdown);
         inner.wakeup.wait(&mut queue);
     }
 }
@@ -1882,5 +1899,86 @@ fn drain(inner: &ServerInner, active: Vec<ActiveSeq>, preempted: Vec<PreemptedSe
     let leftovers: Vec<Queued> = inner.queue.lock().drain(..).collect();
     for q in leftovers {
         inner.resolve_queued(q, RequestOutcome::Cancelled);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kt_core::EngineConfig;
+    use kt_model::ModelPreset;
+    use std::cell::Cell;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    thread_local! {
+        /// Hook window for servers started on this thread.
+        static PARK_WINDOW: Cell<Duration> = const { Cell::new(Duration::ZERO) };
+    }
+
+    /// Holds the scheduler, queue lock in hand, between its last
+    /// shutdown check and parking until `shutdown` is set or the window
+    /// closes — so a `stop` that does not take the queue lock lands in
+    /// the window every time.
+    #[derive(Default)]
+    pub(super) struct ParkHook {
+        window: Duration,
+        entered: AtomicU64,
+    }
+
+    impl ParkHook {
+        pub(super) fn from_thread() -> Self {
+            ParkHook {
+                window: PARK_WINDOW.with(Cell::get),
+                ..Default::default()
+            }
+        }
+
+        pub(super) fn before_park(&self, shutdown: &AtomicBool) {
+            if self.window.is_zero() {
+                return;
+            }
+            self.entered.fetch_add(1, Ordering::SeqCst);
+            let until = Instant::now() + self.window;
+            while !shutdown.load(Ordering::Acquire) && Instant::now() < until {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
+    #[test]
+    fn stop_racing_the_scheduler_into_park_is_not_lost() {
+        let engine = Arc::new(
+            HybridEngine::random(
+                &ModelPreset::DeepSeekV3.tiny_config(),
+                EngineConfig {
+                    n_cpu_workers: 1,
+                    ..Default::default()
+                },
+            )
+            .unwrap(),
+        );
+        PARK_WINDOW.with(|w| w.set(Duration::from_millis(500)));
+        let server = Server::start(engine, ServerConfig::default()).unwrap();
+        PARK_WINDOW.with(|w| w.set(Duration::ZERO));
+        // The idle scheduler parks at once; wait until it is inside the
+        // check-to-park window.
+        let inner = Arc::clone(&server.inner);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while inner.park_hook.entered.load(Ordering::SeqCst) == 0 {
+            assert!(Instant::now() < deadline, "scheduler never parked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (done_tx, done) = mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done.recv_timeout(Duration::from_secs(20)).is_ok(),
+            "Server::stop hung: its wakeup was lost between the scheduler's \
+             shutdown check and its park"
+        );
+        stopper.join().expect("stopper thread");
     }
 }
